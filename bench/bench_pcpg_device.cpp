@@ -1,9 +1,9 @@
 // Device-resident PCPG harness — the transfer and wall-time gates of the
-// GPU-resident solver loop (core/pcpg.cpp, solve_impl_device /
-// solve_block_impl_device):
+// GPU-resident solver loop (core/pcpg.cpp, the device backend of the PCPG
+// engine):
 //
-//  1. Iteration identity: the device engine mirrors the host engine's
-//     operation order on the same virtual-GPU arithmetic, so the
+//  1. Iteration identity: the device backend runs the host backend's
+//     operation bodies on the same virtual-GPU arithmetic, so the
 //     device-state solve must report exactly the host iteration counts and
 //     match its solutions to 1e-10 on every key.
 //

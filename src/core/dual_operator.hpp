@@ -37,7 +37,7 @@
 //
 // Both apply entry points are non-virtual wrappers (timed under "apply" in
 // timings()); implementations override the protected apply_one/apply_many
-// hooks. preprocess() survives as a deprecated alias of update_values().
+// hooks.
 
 #include <atomic>
 #include <cstdint>
@@ -82,9 +82,6 @@ class DualOperator {
   /// exception, no version is committed — the next call retries the same
   /// dirty set.
   virtual void update_values() = 0;
-
-  /// Deprecated alias of update_values(), kept for pre-registry callers.
-  [[deprecated("use update_values()")]] void preprocess() { update_values(); }
 
   /// y = F x; x and y are cluster-wide dual vectors (host memory).
   /// Valid only after update_values().

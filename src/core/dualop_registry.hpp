@@ -23,8 +23,7 @@
 //  * serves batched applies without degrading to a loop of single applies
 //    (or accepts that loop_fallback_count() exposes the degradation).
 // Counters (cache_stats(), loop_fallback_count()) accumulate from operator
-// construction and never reset; preprocess() is a deprecated alias of
-// update_values() kept for pre-registry callers.
+// construction and never reset.
 
 #include <functional>
 #include <memory>

@@ -47,60 +47,10 @@ void FetiSolver::prepare() {
 }
 
 FetiStepResult FetiSolver::solve_step() {
-  check(prepared_, "FetiSolver: prepare() must be called first");
-  Timer step_timer;
-  FetiStepResult result;
-  result.operator_precision = options_.dualop.axes().precision;
-
-  ensure_preconditioner();
-  {
-    const CacheStats before = dualop_->cache_stats();
-    Timer t;
-    dualop_->update_values();
-    if (precond_ != nullptr) precond_->update_values();
-    result.preprocess_seconds = t.seconds();
-    const CacheStats after = dualop_->cache_stats();
-    result.refreshed_subdomains =
-        after.refreshed_subdomains - before.refreshed_subdomains;
-    result.skipped_subdomains =
-        after.skipped_subdomains - before.skipped_subdomains;
-    // The skipped-steps delta, not "refreshed == 0": an operator that does
-    // not maintain cache_stats() (an out-of-tree update_values() override)
-    // reports zero deltas everywhere and must read as NOT cached.
-    result.values_cached = after.skipped_steps > before.skipped_steps;
-  }
-  ensure_recycler();
-  // A refreshed subdomain means F changed: the recycled Krylov panel was
-  // harvested from the old operator and would deflate against the wrong F.
-  if (result.refreshed_subdomains > 0 && recycler_ != nullptr)
-    recycler_->clear();
-
-  std::vector<double> d(static_cast<std::size_t>(problem_.num_lambdas));
-  dualop_->compute_d(d.data());
-
-  const double apply_before = dualop_->timings().total("apply");
-  const gpu::TransferCounters::Snapshot xfer_before =
-      gpu::TransferCounters::global().snapshot();
-  Timer pcpg_timer;
-  Pcpg pcpg(*dualop_, projector_, options_.pcpg, precond_.get());
-  pcpg.set_recycler(recycler_.get());
-  PcpgResult pr = pcpg.solve(d);
-  result.pcpg_seconds = pcpg_timer.seconds();
-  const gpu::TransferCounters::Snapshot xfer =
-      gpu::TransferCounters::global().snapshot() - xfer_before;
-  result.pcpg_h2d_bytes = xfer.h2d_bytes;
-  result.pcpg_d2h_bytes = xfer.d2h_bytes;
-  result.pcpg_iterations = pr.iterations;
-  result.preconditioner = precond_key_;
-  result.rel_residual = pr.rel_residual;
-  result.converged = pr.converged;
-  result.deflation_dim = pr.deflation_dim;
-  result.apply_seconds = dualop_->timings().total("apply") - apply_before;
-
-  std::vector<std::vector<double>> u_local;
-  dualop_->primal_solution(pr.lambda.data(), pr.alpha, u_local);
-  result.u = decomp::gather_solution(problem_, u_local);
-  result.step_seconds = step_timer.seconds();
+  // One empty right-hand side = the physical d of eq. (7).
+  FetiStepResult result =
+      std::move(solve_step_many(std::vector<std::vector<double>>(1)).front());
+  check_breakdown(result.breakdown);
   return result;
 }
 
@@ -125,10 +75,13 @@ std::vector<FetiStepResult> FetiSolver::solve_step_many(
       cache_after.refreshed_subdomains - cache_before.refreshed_subdomains;
   const long skipped =
       cache_after.skipped_subdomains - cache_before.skipped_subdomains;
+  // The skipped-steps delta, not "refreshed == 0": an operator that does
+  // not maintain cache_stats() (an out-of-tree update_values() override)
+  // reports zero deltas everywhere and must read as NOT cached.
   const bool cached = cache_after.skipped_steps > cache_before.skipped_steps;
   ensure_recycler();
-  // Same invalidation rule as solve_step(): a refreshed subdomain means the
-  // retained panel was harvested from a different F.
+  // A refreshed subdomain means F changed: the recycled Krylov panel was
+  // harvested from the old operator and would deflate against the wrong F.
   if (refreshed > 0 && recycler_ != nullptr) recycler_->clear();
 
   // An empty entry stands for the physical d of eq. (7), computed once
@@ -163,6 +116,7 @@ std::vector<FetiStepResult> FetiSolver::solve_step_many(
     result.preconditioner = precond_key_;
     result.rel_residual = prs[j].rel_residual;
     result.converged = prs[j].converged;
+    result.breakdown = prs[j].breakdown;
     result.deflation_dim = prs[j].deflation_dim;
     result.preprocess_seconds = preprocess_seconds;
     result.pcpg_seconds = pcpg_seconds;

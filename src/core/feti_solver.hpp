@@ -26,6 +26,9 @@ struct FetiStepResult {
   int pcpg_iterations = 0;
   double rel_residual = 0.0;
   bool converged = false;
+  /// PCPG stopped on lost positive definiteness (PcpgResult::breakdown).
+  /// solve_step() throws instead; solve_step_many() reports it per system.
+  bool breakdown = false;
   /// Normalized preconditioner registry key that served this step.
   std::string preconditioner = "none";
   /// Width of the recycled Krylov deflation space PCPG started from this
@@ -87,13 +90,16 @@ class FetiSolver {
   void prepare();
 
   /// One time step (lines 2-7): preprocessing + PCPG + primal solution.
+  /// The single-RHS case of solve_step_many() for the physical d; throws
+  /// when PCPG breaks down (check_breakdown).
   FetiStepResult solve_step();
 
   /// One time step solved for a block of dual right-hand sides sharing the
   /// pattern and the coarse constraint (load multipliers, residual probes,
   /// deflation vectors): preprocessing runs once, then all systems iterate
-  /// in lockstep through Pcpg::solve_many, so every PCPG iteration reaches
-  /// the dual operator as one batched apply(X, Y, nrhs) — served
+  /// together through Pcpg::solve_many_ptrs — in lockstep, or on one shared
+  /// search panel when pcpg.block.enabled — so every PCPG iteration
+  /// reaches the dual operator as one batched apply(X, Y, nrhs), served
   /// device-side by the GPU operator families. Each dual_rhs[j] plays the
   /// role of the d vector of eq. (7); an *empty* dual_rhs[j] requests the
   /// physical d computed from the problem's current f (computed once per

@@ -1,13 +1,12 @@
 #include "core/pcpg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <new>
+#include <optional>
 
 #include "core/krylov_recycler.hpp"
-#include "gpu/data.hpp"
-#include "gpu/kernels.hpp"
+#include "gpu/context.hpp"
 #include "gpu/runtime.hpp"
 #include "la/blas_dense.hpp"
 #include "precond/precond_registry.hpp"
@@ -32,7 +31,7 @@ double w0_floor(idx n, double d_norm) {
 /// per-system step/conjugation coefficients. Panel columns beyond the
 /// revealed rank are numerically dependent on the kept ones and get zero
 /// coefficients — column deflation instead of the per-system `pq <= 0`
-/// breakdown of the lockstep path.
+/// breakdown of the lockstep step.
 class GramSolver {
  public:
   void factor(const la::DenseMatrix& gram, double rel_tolerance) {
@@ -55,43 +54,588 @@ class GramSolver {
     for (idx k = 0; k < rank_; ++k) b[perm_[k]] = t[static_cast<std::size_t>(k)];
   }
 
-  [[nodiscard]] const std::vector<idx>& perm() const { return perm_; }
-
  private:
   la::DenseMatrix l_;
   std::vector<idx> perm_;
   idx rank_ = 0;
 };
 
-/// One contiguous device allocation for a whole device-resident solve,
-/// freed (after draining the device) on every exit path — including the
-/// std::bad_alloc unwinding that triggers the Auto-mode host fallback.
-struct DeviceSlab {
-  gpu::Device& dev;
-  double* data;
-  DeviceSlab(gpu::Device& d, std::size_t count)
-      : dev(d), data(d.alloc_n<double>(count)) {}
-  ~DeviceSlab() {
-    dev.synchronize();
-    dev.free(data);
+/// Where the PCPG loop state lives and where its fused vector operations
+/// run. The host backend keeps the state in host memory and runs every
+/// operation body inline; the device backend keeps it in one allocation on
+/// the dual operator's device and submits the *same* bodies to the
+/// context's main stream, reading back only scalar blocks. One body per
+/// operation is what makes the two bit-identical (device memory is host
+/// memory in the virtual runtime, so the same la:: calls see the same
+/// operands in the same per-system order).
+///
+/// State: per system the n-vectors λ, r, w, y and p; shared by the systems
+/// the search panel P (packed when wider than one), Q = F·P, the
+/// preconditioner staging panels, and the Gram, coefficient and scalar
+/// blocks.
+class Backend {
+ public:
+  /// Host state.
+  Backend(idx n, std::size_t nsys) : n_(n), host_(slab_size(n, nsys)) {
+    bind(host_.data(), nsys);
   }
-  DeviceSlab(const DeviceSlab&) = delete;
-  DeviceSlab& operator=(const DeviceSlab&) = delete;
+  /// Device state on `ctx`'s device, freed (after draining the device) on
+  /// every exit path — including the std::bad_alloc unwinding behind the
+  /// Auto-mode host fallback.
+  Backend(idx n, std::size_t nsys, gpu::ExecutionContext& ctx)
+      : n_(n), ctx_(&ctx), stream_(ctx.main_stream()) {
+    bind(ctx.device().alloc_n<double>(slab_size(n, nsys)), nsys);
+  }
+  ~Backend() {
+    if (ctx_ == nullptr) return;
+    ctx_->device().synchronize();
+    ctx_->device().free(base_);
+  }
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+
+  std::vector<double*> lambda, r, w, y, p;
+  double* xpanel = nullptr;  ///< packed search panel P
+  double* ypanel = nullptr;  ///< Q = F·P
+  double* tin = nullptr;     ///< preconditioner staging, in
+  double* tout = nullptr;    ///< preconditioner staging, out
+  double* gram = nullptr;    ///< PᵀFP block
+  double* coeff = nullptr;   ///< per-system Gram coefficient columns
+  double* out = nullptr;     ///< scalar return block
+
+  /// Runs an operation body inline (host) or stream-ordered on the device.
+  template <class Body>
+  void run(Body body) {
+    if (ctx_ == nullptr)
+      body();
+    else
+      stream_.submit(std::move(body));
+  }
+
+  /// `count` doubles of backend memory → host memory (D2H + drain).
+  void read(double* dst, const double* src, std::size_t count) {
+    if (ctx_ == nullptr) {
+      std::copy_n(src, count, dst);
+      return;
+    }
+    stream_.memcpy_d2h(dst, src, count * sizeof(double));
+    stream_.synchronize();
+  }
+  /// `count` doubles of host memory → backend memory (stream-ordered H2D).
+  void write(double* dst, const double* src, std::size_t count) {
+    if (ctx_ == nullptr)
+      std::copy_n(src, count, dst);
+    else
+      stream_.memcpy_h2d(dst, src, count * sizeof(double));
+  }
+  void synchronize() {
+    if (ctx_ != nullptr) stream_.synchronize();
+  }
+
+  /// ‖xs[b]‖₂ for every column, read back as one scalar block.
+  std::vector<double> nrm2_many(std::vector<const double*> xs) {
+    run([xs, n = n_, o = out] {
+      for (std::size_t b = 0; b < xs.size(); ++b) o[b] = la::nrm2(n, xs[b]);
+    });
+    return scalars(xs.size());
+  }
+  /// xs[b]ᵀys[b] for every column, read back as one scalar block.
+  std::vector<double> dot_many(std::vector<const double*> xs,
+                               std::vector<const double*> ys) {
+    run([xs, ys, n = n_, o = out] {
+      for (std::size_t b = 0; b < xs.size(); ++b)
+        o[b] = la::dot(n, xs[b], ys[b]);
+    });
+    return scalars(xs.size());
+  }
+  /// ys[b] += alphas[b] · xs[b].
+  void axpy_many(std::vector<double> alphas, std::vector<const double*> xs,
+                 std::vector<double*> ys) {
+    run([alphas, xs, ys, n = n_] {
+      for (std::size_t b = 0; b < xs.size(); ++b)
+        la::axpy(n, alphas[b], xs[b], ys[b]);
+    });
+  }
+  /// ps[b] = ys[b] + betas[b] · ps[b] (Algorithm 1, line 14).
+  void xpby_many(std::vector<const double*> ys, std::vector<double> betas,
+                 std::vector<double*> ps) {
+    run([ys, betas, ps, n = n_] {
+      for (std::size_t b = 0; b < ys.size(); ++b)
+        for (idx i = 0; i < n; ++i) ps[b][i] = ys[b][i] + betas[b] * ps[b][i];
+    });
+  }
+  /// dsts[b] = srcs[b].
+  void copy_many(std::vector<const double*> srcs, std::vector<double*> dsts) {
+    run([srcs, dsts, n = n_] {
+      for (std::size_t b = 0; b < srcs.size(); ++b)
+        std::copy_n(srcs[b], n, dsts[b]);
+    });
+  }
+  /// Panel column b (leading dimension n) = srcs[b].
+  void pack(std::vector<const double*> srcs, double* panel) {
+    run([srcs, panel, n = n_] {
+      for (std::size_t b = 0; b < srcs.size(); ++b)
+        std::copy_n(srcs[b], n, panel + b * static_cast<std::size_t>(n));
+    });
+  }
+
+  /// Y = F X over `width` contiguous columns.
+  void apply(DualOperator& f, const double* x, double* y, idx width) {
+    if (ctx_ == nullptr)
+      f.apply(x, y, width);
+    else
+      f.apply_device(x, y, width);
+  }
+  /// Y = M⁻¹ X over `width` contiguous columns.
+  void apply(precond::Preconditioner& m, const double* x, double* y,
+             idx width) {
+    if (ctx_ == nullptr) {
+      m.apply(x, y, width);
+      return;
+    }
+    // A preconditioner pooled on a different execution context (the
+    // sharded operator anchors on its internal shard-0 context) submits on
+    // streams with no ordering against the main queue — drain it first so
+    // the preconditioner reads complete inputs. Same-context
+    // preconditioners share the in-order main queue and need no fence.
+    if (m.device_context() != ctx_) stream_.synchronize();
+    m.apply_device(x, y, width);
+  }
+  /// ys[b] = P xs[b].
+  void project(const Projector& projector,
+               const std::vector<const double*>& xs,
+               const std::vector<double*>& ys) {
+    if (ctx_ != nullptr) {
+      projector.apply_device(ctx_->device(), stream_, xs, ys);
+      return;
+    }
+    for (std::size_t b = 0; b < xs.size(); ++b) projector.apply(xs[b], ys[b]);
+  }
+  /// ys[b] ← (I − U (UᵀFU)⁻¹ (FU)ᵀ) ys[b] for the recycled panel U.
+  void project_out(const KrylovRecycler& recycler,
+                   const std::vector<double*>& ys) {
+    if (ctx_ != nullptr) {
+      recycler.project_out_device(ctx_->device(), stream_, ys);
+      return;
+    }
+    for (double* yb : ys) recycler.project_out(yb, 1);
+  }
+
+ private:
+  static std::size_t slab_size(idx n, std::size_t nsys) {
+    return static_cast<std::size_t>(n) * 9 * nsys + 2 * nsys * nsys + nsys;
+  }
+  void bind(double* base, std::size_t nsys) {
+    base_ = base;
+    const std::size_t vn = static_cast<std::size_t>(n_);
+    double* next = base;
+    for (std::vector<double*>* v : {&lambda, &r, &w, &y, &p})
+      for (std::size_t j = 0; j < nsys; ++j, next += vn) v->push_back(next);
+    for (double** panel : {&xpanel, &ypanel, &tin, &tout}) {
+      *panel = next;
+      next += vn * nsys;
+    }
+    gram = next;
+    coeff = gram + nsys * nsys;
+    out = coeff + nsys * nsys;
+  }
+  std::vector<double> scalars(std::size_t count) {
+    std::vector<double> host(count);
+    read(host.data(), out, count);
+    return host;
+  }
+
+  idx n_;
+  gpu::ExecutionContext* ctx_ = nullptr;  ///< null = host backend
+  gpu::Stream stream_;
+  std::vector<double> host_;
+  double* base_ = nullptr;
+};
+
+/// One PCPG solve (Algorithm 1) of several dual systems over a backend.
+/// Setup and finalization run on the host; the iteration runs on the loop
+/// backend — the host state itself, or a device copy uploaded once after
+/// setup and downloaded per system at finalization. Lockstep and block are
+/// two step functions of the same loop: a width-1 block panel solves its
+/// Gram system where lockstep divides by pᵀq, a different rounding path.
+class Engine {
+ public:
+  Engine(DualOperator& f, const Projector& projector,
+         precond::Preconditioner* m, KrylovRecycler* recycler,
+         const PcpgOptions& options, const std::vector<double>* const* d,
+         std::size_t nsys)
+      : f_(f), projector_(projector), m_(m), recycler_(recycler),
+        options_(options), d_(d), n_(f.problem().num_lambdas),
+        sys_(nsys), results_(nsys) {}
+
+  /// Runs the solve with the loop state on `ctx`'s device, or on the host
+  /// when `ctx` is null.
+  std::vector<PcpgResult> solve(gpu::ExecutionContext* ctx) {
+    // The device state is allocated first, so an out-of-memory fallback
+    // happens before any operator application is spent.
+    std::optional<Backend> device;
+    if (ctx != nullptr) device.emplace(n_, sys_.size(), *ctx);
+    Backend host(n_, sys_.size());
+    host_ = loop_ = &host;
+    const std::vector<std::size_t> pending = setup();
+    if (device) {
+      for (std::size_t j : pending) {
+        device->write(device->lambda[j], host.lambda[j], vec());
+        device->write(device->r[j], host.r[j], vec());
+        device->write(device->w[j], host.w[j], vec());
+        device->write(device->y[j], host.y[j], vec());
+        device->write(device->p[j], host.p[j], vec());
+      }
+      device->synchronize();
+      loop_ = &*device;
+    }
+    for (std::vector<std::size_t> batch = scan(); !batch.empty();
+         batch = scan()) {
+      // Line 7 for the still-active systems: Q = F P through one batched
+      // apply. A width-1 panel (single-system solve, or the tail of a
+      // draining batch) aliases the system's own search direction.
+      Backend& be = *loop_;
+      const idx width = static_cast<idx>(batch.size());
+      const double* panel = be.p[batch.front()];
+      if (width > 1) {
+        be.pack(pick(be.p, batch), be.xpanel);
+        panel = be.xpanel;
+      }
+      be.apply(f_, panel, be.ypanel, width);
+      if (options_.block.enabled)
+        block_step(batch, panel);
+      else
+        lockstep_step(batch);
+    }
+    return std::move(results_);
+  }
+
+ private:
+  struct System {
+    double w0_norm = 0.0;
+    double wy = 0.0;  ///< wᵀy of the lockstep recurrence
+    double rel = 1.0;
+    int iterations = 0;
+    int deflation_dim = 0;
+    bool active = true;
+  };
+
+  [[nodiscard]] std::size_t vec() const { return static_cast<std::size_t>(n_); }
+
+  /// The vectors of systems `js`, read-only unless T = double.
+  template <class T = const double>
+  static std::vector<T*> pick(const std::vector<double*>& v,
+                              const std::vector<std::size_t>& js) {
+    std::vector<T*> out;
+    for (std::size_t j : js) out.push_back(v[j]);
+    return out;
+  }
+
+  /// Lines 1-5 on the host state: λ₀, the projected residual, the zero-RHS
+  /// floor, the Galerkin warm start from a recycled space, and the first
+  /// search direction. Returns the systems still to iterate.
+  std::vector<std::size_t> setup() {
+    Backend& h = *host_;
+    // λ₀ and F λ₀ depend on the problem only — computed once, shared.
+    lambda0_.resize(vec());
+    projector_.initial_lambda(lambda0_.data());
+    q0_.resize(vec());
+    f_.apply(lambda0_.data(), q0_.data());
+
+    std::vector<std::size_t> pending;
+    for (std::size_t j = 0; j < sys_.size(); ++j) {
+      System& s = sys_[j];
+      const std::vector<double>& dj = *d_[j];
+      std::copy_n(lambda0_.data(), n_, h.lambda[j]);
+      for (idx i = 0; i < n_; ++i) h.r[j][i] = dj[i] - q0_[i];
+      projector_.apply(h.r[j], h.w[j]);
+      // w₀ is measured before the deflation correction, so a warm start is
+      // judged against the same baseline a cold solve would be — that is
+      // what lets a recycled step finish in (near) zero iterations.
+      s.w0_norm = la::nrm2(n_, h.w[j]);
+      if (s.w0_norm <= w0_floor(n_, la::nrm2(n_, dj.data()))) {
+        s.rel = 0.0;
+        finalize(j, /*converged=*/true);
+        continue;
+      }
+      if (recycler_ != nullptr && recycler_->dim() > 0) {
+        s.deflation_dim = static_cast<int>(
+            recycler_->deflate_initial(h.lambda[j], h.r[j]));
+        projector_.apply(h.r[j], h.w[j]);
+      }
+      pending.push_back(j);
+    }
+    precondition(pending);
+    h.copy_many(pick(h.y, pending), pick<double>(h.p, pending));
+    if (!options_.block.enabled) {
+      const std::vector<double> wy =
+          h.dot_many(pick(h.w, pending), pick(h.y, pending));
+      for (std::size_t b = 0; b < pending.size(); ++b)
+        sys_[pending[b]].wy = wy[b];
+    }
+    return pending;
+  }
+
+  /// The convergence test of every active system on one scalar block;
+  /// finalizes converged and exhausted systems, returns the rest.
+  std::vector<std::size_t> scan() {
+    Backend& be = *loop_;
+    std::vector<std::size_t> active, batch;
+    for (std::size_t j = 0; j < sys_.size(); ++j)
+      if (sys_[j].active) active.push_back(j);
+    if (active.empty()) return batch;
+    const std::vector<double> norms = be.nrm2_many(pick(be.w, active));
+    for (std::size_t b = 0; b < active.size(); ++b) {
+      const std::size_t j = active[b];
+      System& s = sys_[j];
+      s.rel = norms[b] / s.w0_norm;
+      if (s.rel <= options_.rel_tolerance)
+        finalize(j, /*converged=*/true);
+      else if (s.iterations >= options_.max_iterations)
+        finalize(j, /*converged=*/false);
+      else
+        batch.push_back(j);
+    }
+    return batch;
+  }
+
+  /// Lines 8-14 per system: every system steps along its own direction
+  /// with its own scalars; Q(:,b) = F p of batch[b].
+  void lockstep_step(const std::vector<std::size_t>& batch) {
+    Backend& be = *loop_;
+    const std::vector<double> pq = be.dot_many(
+        pick(be.p, batch), panel_columns(be.ypanel, batch.size()));
+    std::vector<std::size_t> pending;
+    std::vector<double> deltas;
+    std::vector<const double*> qs;
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      const std::size_t j = batch[b];
+      System& s = sys_[j];
+      if (pq[b] <= 0.0) {
+        // Breakdown. One ill-conditioned system must not discard the
+        // others' results, and its reported state must be consistent:
+        // λ/r/w are untouched by the failed step, so the scan's rel (and
+        // the α finalize() derives from r) describe exactly that state; the
+        // F apply this iteration spent is counted though it was discarded.
+        ++s.iterations;
+        finalize(j, /*converged=*/false, /*breakdown=*/true);
+        continue;
+      }
+      deltas.push_back(s.wy / pq[b]);                            // line 8
+      qs.push_back(be.ypanel + b * vec());
+      pending.push_back(j);
+    }
+    if (pending.empty()) return;
+    be.axpy_many(deltas, pick(be.p, pending),
+                 pick<double>(be.lambda, pending));                // line 9
+    for (double& delta : deltas) delta = -delta;
+    be.axpy_many(deltas, qs, pick<double>(be.r, pending));         // line 10
+    be.project(projector_, pick(be.r, pending),
+               pick<double>(be.w, pending));                       // line 11
+    precondition(pending);                                        // line 12
+    const std::vector<double> wy =
+        be.dot_many(pick(be.w, pending), pick(be.y, pending));
+    std::vector<double> betas;
+    for (std::size_t b = 0; b < pending.size(); ++b) {
+      System& s = sys_[pending[b]];
+      betas.push_back(wy[b] / s.wy);                              // line 13
+      s.wy = wy[b];
+      ++s.iterations;
+    }
+    be.xpby_many(pick(be.y, pending), betas,
+                 pick<double>(be.p, pending));                     // line 14
+  }
+
+  /// The shared-panel step: every system advances through the union of the
+  /// block's search directions, with its step and conjugation coefficients
+  /// from the rank-revealing PᵀFP Gram solve.
+  void block_step(const std::vector<std::size_t>& batch, const double* panel) {
+    Backend& be = *loop_;
+    const idx n = n_;
+    const idx width = static_cast<idx>(batch.size());
+    const std::size_t cw = batch.size();
+    const double* q = be.ypanel;
+    double* c = be.coeff;
+
+    // Gram system PᵀFP with rank-revealing pivoting: a nearly dependent
+    // column is deflated (zero coefficient) instead of breaking the solve.
+    la::DenseMatrix gram_mat(width, width, la::Layout::ColMajor);
+    be.run([panel, q, g = be.gram, n, width] {
+      la::gemm(1.0, la::ConstDenseView(panel, n, width, n, la::Layout::ColMajor),
+               la::Trans::Yes,
+               la::ConstDenseView(q, n, width, n, la::Layout::ColMajor),
+               la::Trans::No, 0.0,
+               la::DenseView{g, width, width, width, la::Layout::ColMajor});
+    });
+    be.read(gram_mat.data(), be.gram, cw * cw);
+    gram_.factor(gram_mat, options_.block.pivot_rel_tolerance);
+    if (gram_.rank() == 0) {
+      // The whole panel lost positive definiteness — nothing can advance.
+      // Same consistent-final-state contract as the lockstep breakdown.
+      for (std::size_t j : batch) {
+        ++sys_[j].iterations;
+        finalize(j, /*converged=*/false, /*breakdown=*/true);
+      }
+      return;
+    }
+
+    // Step: α = Gram⁻¹ Pᵀw (pᵀr = pᵀw for projected panels), λ += P α,
+    // r −= Q α.
+    const std::vector<const double*> ws = pick(be.w, batch);
+    const std::vector<double*> lams = pick<double>(be.lambda, batch);
+    const std::vector<double*> rs = pick<double>(be.r, batch);
+    gram_coefficients(panel, ws, /*negate=*/false);
+    be.run([panel, q, c, n, width, cw, lams, rs] {
+      const la::ConstDenseView pv(panel, n, width, n, la::Layout::ColMajor);
+      const la::ConstDenseView qv(q, n, width, n, la::Layout::ColMajor);
+      for (std::size_t b = 0; b < lams.size(); ++b) {
+        la::gemv(1.0, pv, la::Trans::No, c + b * cw, 1.0, lams[b]);
+        la::gemv(-1.0, qv, la::Trans::No, c + b * cw, 1.0, rs[b]);
+      }
+    });
+    be.project(projector_, pick(be.r, batch), pick<double>(be.w, batch));
+    for (std::size_t j : batch) ++sys_[j].iterations;
+
+    // Next panel: Y = deflated-preconditioned residuals, conjugated
+    // against the current panel via β = −Gram⁻¹ QᵀY.
+    precondition(batch);
+    gram_coefficients(q, pick(be.y, batch), /*negate=*/true);
+    if (width == 1) {
+      // The panel aliases p here: conjugate in place on y, then swap the
+      // buffers so p becomes the new direction without ever overwriting
+      // the aliased panel.
+      const std::size_t j = batch.front();
+      be.run([panel, c, n, yj = be.y[j]] {
+        la::gemv(1.0, la::ConstDenseView(panel, n, 1, n, la::Layout::ColMajor),
+                 la::Trans::No, c, 1.0, yj);
+      });
+      std::swap(be.p[j], be.y[j]);
+    } else {
+      be.run([panel, c, n, width, cw, ys = pick(be.y, batch),
+              ps = pick<double>(be.p, batch)] {
+        const la::ConstDenseView pv(panel, n, width, n, la::Layout::ColMajor);
+        for (std::size_t b = 0; b < ps.size(); ++b) {
+          std::copy_n(ys[b], n, ps[b]);
+          la::gemv(1.0, pv, la::Trans::No, c + b * cw, 1.0, ps[b]);
+        }
+      });
+    }
+  }
+
+  /// coeff(:,b) = ±Gram⁻¹ Vᵀ xs[b] for the width-column panel V: one fused
+  /// gemv sweep, one coefficient-block round trip for the host-side Gram
+  /// solves.
+  void gram_coefficients(const double* v, std::vector<const double*> xs,
+                         bool negate) {
+    Backend& be = *loop_;
+    const idx width = static_cast<idx>(xs.size());
+    const std::size_t cw = xs.size();
+    be.run([v, xs, c = be.coeff, n = n_, width, cw] {
+      const la::ConstDenseView vv(v, n, width, n, la::Layout::ColMajor);
+      for (std::size_t b = 0; b < xs.size(); ++b)
+        la::gemv(1.0, vv, la::Trans::Yes, xs[b], 0.0, c + b * cw);
+    });
+    coeff_host_.resize(cw * cw);
+    be.read(coeff_host_.data(), be.coeff, coeff_host_.size());
+    for (std::size_t b = 0; b < cw; ++b) {
+      gram_.solve(coeff_host_.data() + b * cw);
+      if (negate) la::scal(width, -1.0, coeff_host_.data() + b * cw);
+    }
+    be.write(be.coeff, coeff_host_.data(), coeff_host_.size());
+  }
+
+  /// Line 12 for a set of systems at once: y = P M⁻¹ w through one batched
+  /// M⁻¹ application (a single system skips the pack), then — with a
+  /// recycled panel attached — the F-orthogonal deflation projection that
+  /// keeps every new direction out of the recycled space. Without a
+  /// preconditioner y = w (w is already projected).
+  void precondition(const std::vector<std::size_t>& js) {
+    if (js.empty()) return;
+    Backend& be = *loop_;
+    const std::vector<const double*> ws = pick(be.w, js);
+    const std::vector<double*> ys = pick<double>(be.y, js);
+    if (m_ == nullptr) {
+      be.copy_many(ws, ys);
+    } else {
+      const double* src = ws.front();
+      if (js.size() > 1) {
+        be.pack(ws, be.tin);
+        src = be.tin;
+      }
+      be.apply(*m_, src, be.tout, static_cast<idx>(js.size()));
+      be.project(projector_, panel_columns(be.tout, js.size()), ys);
+    }
+    if (recycler_ != nullptr && recycler_->dim() > 0)
+      be.project_out(*recycler_, ys);
+  }
+
+  [[nodiscard]] std::vector<const double*> panel_columns(
+      const double* panel, std::size_t count) const {
+    std::vector<const double*> out;
+    for (std::size_t b = 0; b < count; ++b) out.push_back(panel + b * vec());
+    return out;
+  }
+
+  /// Reports system j from its host state (downloaded once from a device
+  /// loop) and, for a converged iterating solve with recycling on, offers
+  /// its step increment to the recycler.
+  void finalize(std::size_t j, bool converged, bool breakdown = false) {
+    Backend& h = *host_;
+    if (loop_ != host_) {
+      loop_->read(h.lambda[j], loop_->lambda[j], vec());
+      loop_->read(h.r[j], loop_->r[j], vec());
+    }
+    System& s = sys_[j];
+    if (converged && recycler_ != nullptr && s.iterations > 0) {
+      // Harvest the converged step increment λ − λ₀ for the next step's
+      // deflation space; its operator product F(λ − λ₀) = (d − r) − Fλ₀
+      // falls out of the maintained residual — no extra apply. Recycling
+      // the increment (rather than the raw search directions) matters
+      // numerically: reconstructing it direction-by-direction from Uᵀr₀
+      // bottoms out at the cold solve's residual-orthogonality loss
+      // (~1e-5·‖r₀‖ here), while the increment is a single well-scaled
+      // column whose Galerkin coefficient is O(1).
+      std::vector<double> inc(vec()), finc(vec());
+      const std::vector<double>& dj = *d_[j];
+      for (idx i = 0; i < n_; ++i) {
+        inc[i] = h.lambda[j][i] - lambda0_[i];
+        finc[i] = dj[i] - h.r[j][i] - q0_[i];
+      }
+      recycler_->absorb(inc.data(), finc.data());
+    }
+    PcpgResult& res = results_[j];
+    res.iterations = s.iterations;
+    res.rel_residual = s.rel;
+    res.converged = converged;
+    res.breakdown = breakdown;
+    res.deflation_dim = s.deflation_dim;
+    res.alpha = projector_.alpha(h.r[j]);
+    res.lambda.assign(h.lambda[j], h.lambda[j] + n_);
+    s.active = false;
+  }
+
+  DualOperator& f_;
+  const Projector& projector_;
+  precond::Preconditioner* m_;
+  KrylovRecycler* recycler_;  ///< null unless block recycling is on
+  const PcpgOptions& options_;
+  const std::vector<double>* const* d_;
+  idx n_;
+  std::vector<System> sys_;
+  std::vector<PcpgResult> results_;
+  std::vector<double> lambda0_, q0_;  ///< λ₀ and F λ₀, shared
+  GramSolver gram_;
+  /// Host side of the coefficient round trip; outlives the (stream-ordered)
+  /// upload, and is rewritten only after the next read drains the stream.
+  std::vector<double> coeff_host_;
+  Backend* host_ = nullptr;  ///< setup and finalization state
+  Backend* loop_ = nullptr;  ///< iteration state (host_ or a device copy)
 };
 
 }  // namespace
 
-const char* to_string(PreconditionerKind p) {
-  // Exhaustive by construction: a future enumerator fails to compile here
-  // instead of silently aliasing to "lumped" (the old ternary's behavior).
-  switch (p) {
-    case PreconditionerKind::None:
-      return "none";
-    case PreconditionerKind::Lumped:
-      return "lumped";
-  }
-  FETI_ASSERT(false, "to_string: unknown PreconditionerKind");
-  return "none";
+void check_breakdown(bool breakdown) {
+  check(!breakdown, "Pcpg: operator lost positive definiteness");
 }
 
 Pcpg::Pcpg(DualOperator& f, const Projector& projector, PcpgOptions options,
@@ -118,8 +662,9 @@ Pcpg::~Pcpg() = default;
 
 PcpgResult Pcpg::solve(const std::vector<double>& d) {
   const std::vector<double>* dp = &d;
-  std::vector<PcpgResult> results = run(&dp, 1, /*throw_on_breakdown=*/true);
-  return std::move(results.front());
+  PcpgResult result = std::move(run(&dp, 1).front());
+  check_breakdown(result.breakdown);
+  return result;
 }
 
 std::vector<PcpgResult> Pcpg::solve_many(
@@ -132,7 +677,7 @@ std::vector<PcpgResult> Pcpg::solve_many(
 
 std::vector<PcpgResult> Pcpg::solve_many_ptrs(
     const std::vector<const std::vector<double>*>& d) {
-  return run(d.data(), d.size(), /*throw_on_breakdown=*/false);
+  return run(d.data(), d.size());
 }
 
 bool Pcpg::device_eligible() {
@@ -150,1087 +695,27 @@ bool Pcpg::device_eligible() {
 }
 
 std::vector<PcpgResult> Pcpg::run(const std::vector<double>* const* d,
-                                  std::size_t nsys, bool throw_on_breakdown) {
+                                  std::size_t nsys) {
+  for (std::size_t j = 0; j < nsys; ++j)
+    check(d[j]->size() == static_cast<std::size_t>(f_.problem().num_lambdas),
+          "Pcpg: rhs size mismatch");
+  if (nsys == 0) return {};
+  KrylovRecycler* recycler =
+      options_.block.enabled && options_.block.recycle ? recycler_ : nullptr;
   if (device_eligible()) {
     try {
-      return options_.block.enabled
-                 ? solve_block_impl_device(d, nsys, throw_on_breakdown)
-                 : solve_impl_device(d, nsys, throw_on_breakdown);
+      return Engine(f_, projector_, m_, recycler, options_, d, nsys)
+          .solve(f_.device_context());
     } catch (const std::bad_alloc&) {
-      // Device memory exhausted. Auto degrades to the host-staged engines
-      // (a re-run from scratch is safe: the device engine only mutates
-      // device state plus the recycler, and a duplicate absorb of the same
+      // Device memory exhausted. Auto degrades to the host backend (a
+      // re-run from scratch is safe: the device solve only mutates device
+      // state plus the recycler, and a duplicate absorb of the same
       // increment is dropped by its F-orthogonalization floor).
       if (options_.device_state == PcpgOptions::DeviceState::On) throw;
     }
   }
-  return options_.block.enabled
-             ? solve_block_impl(d, nsys, throw_on_breakdown)
-             : solve_impl(d, nsys, throw_on_breakdown);
-}
-
-std::vector<PcpgResult> Pcpg::solve_impl(const std::vector<double>* const* d,
-                                         std::size_t nsys,
-                                         bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  /// Per-system CG state (lines 1-5 of Algorithm 1 use per-system vectors;
-  /// only the operator and preconditioner applications are shared).
-  struct System {
-    std::vector<double> lambda, r, w, y, p, q;
-    double w0_norm = 0.0;
-    double wy = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-  std::vector<double> t(static_cast<std::size_t>(n));
-  std::vector<double> tin, tout;  ///< preconditioner batch blocks
-
-  // λ₀ and F λ₀ depend on the problem only — computed once, shared.
-  std::vector<double> lambda0(static_cast<std::size_t>(n));
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(static_cast<std::size_t>(n));
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged) {
-    System& s = sys[j];
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  // Line 12 (y = P M⁻¹ w) for a set of systems at once: a single batched
-  // M⁻¹ application (the size-1 tail skips the pack/unpack copies). The
-  // unpreconditioned path stays the plain y = w of projected CG.
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    if (m_ == nullptr) {
-      for (std::size_t j : js) sys[j].y = sys[j].w;
-      return;
-    }
-    if (js.size() == 1) {
-      System& s = sys[js.front()];
-      m_->apply(s.w.data(), t.data());
-      projector_.apply(t.data(), s.y.data());
-      return;
-    }
-    tin.resize(static_cast<std::size_t>(n) * js.size());
-    tout.resize(tin.size());
-    for (std::size_t b = 0; b < js.size(); ++b)
-      std::copy_n(sys[js[b]].w.data(), n,
-                  tin.data() + b * static_cast<std::size_t>(n));
-    m_->apply(tin.data(), tout.data(), static_cast<idx>(js.size()));
-    for (std::size_t b = 0; b < js.size(); ++b)
-      projector_.apply(tout.data() + b * static_cast<std::size_t>(n),
-                       sys[js[b]].y.data());
-  };
-
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(static_cast<std::size_t>(n));
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    s.w.resize(static_cast<std::size_t>(n));
-    s.y.resize(static_cast<std::size_t>(n));
-    s.q.resize(static_cast<std::size_t>(n));
-    projector_.apply(s.r.data(), s.w.data());
-    s.w0_norm = la::nrm2(n, s.w.data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true);
-      continue;
-    }
-    pending.push_back(j);
-  }
-  precondition(pending);
-  for (std::size_t j : pending) {
-    System& s = sys[j];
-    s.p = s.y;
-    s.wy = la::dot(n, s.w.data(), s.y.data());
-  }
-
-  std::vector<double> xblock, yblock;
-  std::vector<std::size_t> batch;
-  for (;;) {
-    batch.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      System& s = sys[j];
-      if (!s.active) continue;
-      s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // Line 7 for all still-active systems at once: Q(:,b) = F P(:,b).
-    if (batch.size() == 1) {
-      // Single-system fast path (also the tail of a draining batch): apply
-      // straight into the system's own buffers, no pack/unpack copies.
-      System& s = sys[batch.front()];
-      f_.apply(s.p.data(), s.q.data());
-    } else {
-      const idx nrhs = static_cast<idx>(batch.size());
-      xblock.resize(static_cast<std::size_t>(n) * batch.size());
-      yblock.resize(xblock.size());
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        std::copy_n(sys[batch[b]].p.data(), n,
-                    xblock.data() + b * static_cast<std::size_t>(n));
-      f_.apply(xblock.data(), yblock.data(), nrhs);
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        std::copy_n(yblock.data() + b * static_cast<std::size_t>(n), n,
-                    sys[batch[b]].q.data());
-    }
-
-    // Per-system scalar updates up to the residual projection (lines
-    // 8-11)...
-    pending.clear();
-    for (std::size_t j : batch) {
-      System& s = sys[j];
-      const double pq = la::dot(n, s.p.data(), s.q.data());
-      if (pq <= 0.0) {
-        // solve() keeps the historical contract (throw); in a batch, one
-        // ill-conditioned system must not discard the others' results. The
-        // reported state must be consistent: λ/r/w are untouched by the
-        // failed step, so rel is recomputed for exactly that state (and
-        // alpha in finalize() derives from the same r), and the F apply
-        // this iteration spent is counted even though it was discarded.
-        check(!throw_on_breakdown,
-              "Pcpg: operator lost positive definiteness");
-        ++s.iterations;
-        s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-        finalize(j, /*converged=*/false);
-        continue;
-      }
-      const double delta = s.wy / pq;                       // line 8
-      la::axpy(n, delta, s.p.data(), s.lambda.data());      // line 9
-      la::axpy(n, -delta, s.q.data(), s.r.data());          // line 10
-      projector_.apply(s.r.data(), s.w.data());             // line 11
-      pending.push_back(j);
-    }
-    // ... one batched preconditioner application for the survivors (line
-    // 12) ...
-    precondition(pending);
-    // ... and the per-system search-direction recurrence (lines 13-14).
-    for (std::size_t j : pending) {
-      System& s = sys[j];
-      const double wy_next = la::dot(n, s.w.data(), s.y.data());
-      const double beta = wy_next / s.wy;                   // line 13
-      s.wy = wy_next;
-      for (idx i = 0; i < n; ++i)
-        s.p[i] = s.y[i] + beta * s.p[i];                    // line 14
-      ++s.iterations;
-    }
-  }
-  return results;
-}
-
-std::vector<PcpgResult> Pcpg::solve_block_impl(
-    const std::vector<double>* const* d, std::size_t nsys,
-    bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  KrylovRecycler* recycler = options_.block.recycle ? recycler_ : nullptr;
-
-  /// Per-system state. Unlike the lockstep path there are no per-system
-  /// step scalars: the search panel is shared, and each system's step and
-  /// conjugation coefficients come from the panel's Gram system.
-  struct System {
-    std::vector<double> lambda, r, w, y, p;
-    double w0_norm = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    int deflation_dim = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-  std::vector<double> t(static_cast<std::size_t>(n));
-  std::vector<double> tin, tout;  ///< preconditioner batch blocks
-
-  // λ₀ and F λ₀ depend on the problem only — computed once, shared.
-  std::vector<double> lambda0(static_cast<std::size_t>(n));
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(static_cast<std::size_t>(n));
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged) {
-    System& s = sys[j];
-    if (converged && recycler != nullptr && s.iterations > 0) {
-      // Harvest the converged step increment λ − λ₀ for the next step's
-      // deflation space; its operator product F(λ − λ₀) = (d − r) − Fλ₀
-      // falls out of the maintained residual — no extra apply. Recycling
-      // the increment (rather than the raw search directions) matters
-      // numerically: reconstructing it direction-by-direction from Uᵀr₀
-      // bottoms out at the cold solve's residual-orthogonality loss
-      // (~1e-5·‖r₀‖ here), while the increment is a single well-scaled
-      // column whose Galerkin coefficient is O(1).
-      std::vector<double> inc(static_cast<std::size_t>(n));
-      std::vector<double> finc(static_cast<std::size_t>(n));
-      const std::vector<double>& dj = *d[j];
-      for (idx i = 0; i < n; ++i) {
-        inc[i] = s.lambda[i] - lambda0[i];
-        finc[i] = dj[i] - s.r[i] - q0[i];
-      }
-      recycler->absorb(inc.data(), finc.data());
-    }
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].deflation_dim = s.deflation_dim;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  // y = (I − U(FU)ᵀ) P M⁻¹ w for a set of systems at once: one batched
-  // M⁻¹ application like the lockstep path, with the deflation-augmented
-  // projector keeping every new direction F-orthogonal to the recycled
-  // space (plain P when no recycled panel is attached).
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    const bool deflate = recycler != nullptr && recycler->dim() > 0;
-    if (m_ == nullptr) {
-      for (std::size_t j : js) {
-        sys[j].y = sys[j].w;  // w is already projected
-        if (deflate) recycler->project_out(sys[j].y.data(), 1);
-      }
-      return;
-    }
-    const auto project_y = [&](const double* src, double* dst) {
-      if (deflate)
-        projector_.apply_deflated(src, dst, *recycler);
-      else
-        projector_.apply(src, dst);
-    };
-    if (js.size() == 1) {
-      System& s = sys[js.front()];
-      m_->apply(s.w.data(), t.data());
-      project_y(t.data(), s.y.data());
-      return;
-    }
-    tin.resize(static_cast<std::size_t>(n) * js.size());
-    tout.resize(tin.size());
-    for (std::size_t b = 0; b < js.size(); ++b)
-      std::copy_n(sys[js[b]].w.data(), n,
-                  tin.data() + b * static_cast<std::size_t>(n));
-    m_->apply(tin.data(), tout.data(), static_cast<idx>(js.size()));
-    for (std::size_t b = 0; b < js.size(); ++b)
-      project_y(tout.data() + b * static_cast<std::size_t>(n),
-                sys[js[b]].y.data());
-  };
-
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(static_cast<std::size_t>(n));
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    s.w.resize(static_cast<std::size_t>(n));
-    s.y.resize(static_cast<std::size_t>(n));
-    projector_.apply(s.r.data(), s.w.data());
-    // w₀ is measured before the deflation correction, so a warm start is
-    // judged against the same baseline a cold solve would be — that is
-    // what lets a recycled step finish in (near) zero iterations.
-    s.w0_norm = la::nrm2(n, s.w.data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true);
-      continue;
-    }
-    if (recycler != nullptr && recycler->dim() > 0) {
-      s.deflation_dim = recycler->deflate_initial(s.lambda.data(),
-                                                  s.r.data());
-      projector_.apply(s.r.data(), s.w.data());
-    }
-    pending.push_back(j);
-  }
-  precondition(pending);
-  for (std::size_t j : pending) sys[j].p = sys[j].y;
-
-  std::vector<double> xblock, yblock;  ///< P and Q = F·P panels, packed
-  std::vector<double> coeff;           ///< Gram-system right-hand side
-  std::vector<std::size_t> batch;
-  GramSolver gram;
-  for (;;) {
-    batch.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      System& s = sys[j];
-      if (!s.active) continue;
-      s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // The still-active systems share one search panel: Q = F P through the
-    // same batched apply the lockstep path uses (line 7 for the block). A
-    // width-1 panel (single-system solve, or the tail of a draining batch)
-    // aliases the system's own search direction instead of packing it into
-    // xblock — the panel-update recurrence below compensates (it conjugates
-    // in place on y and swaps, so the aliased direction is never clobbered
-    // while the panel view still reads it).
-    const idx width = static_cast<idx>(batch.size());
-    yblock.resize(static_cast<std::size_t>(n) * batch.size());
-    const double* panel = nullptr;
-    if (width == 1) {
-      System& s = sys[batch.front()];
-      f_.apply(s.p.data(), yblock.data());
-      panel = s.p.data();
-    } else {
-      xblock.resize(static_cast<std::size_t>(n) * batch.size());
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        std::copy_n(sys[batch[b]].p.data(), n,
-                    xblock.data() + b * static_cast<std::size_t>(n));
-      f_.apply(xblock.data(), yblock.data(), width);
-      panel = xblock.data();
-    }
-    const la::ConstDenseView pview(panel, n, width, n, la::Layout::ColMajor);
-    const la::ConstDenseView qview(yblock.data(), n, width, n,
-                                   la::Layout::ColMajor);
-
-    // Gram system PᵀFP with rank-revealing pivoting: a nearly dependent
-    // column is deflated (zero coefficient) instead of breaking the solve.
-    la::DenseMatrix gram_mat(width, width, la::Layout::ColMajor);
-    la::gemm(1.0, pview, la::Trans::Yes, qview, la::Trans::No, 0.0,
-             gram_mat.view());
-    gram.factor(gram_mat, options_.block.pivot_rel_tolerance);
-    if (gram.rank() == 0) {
-      // The whole panel lost positive definiteness — nothing can advance.
-      // Same consistent-final-state contract as the lockstep breakdown:
-      // count the spent panel apply, report rel for the untouched state.
-      check(!throw_on_breakdown,
-            "Pcpg: operator lost positive definiteness");
-      for (std::size_t j : batch) {
-        System& s = sys[j];
-        ++s.iterations;
-        s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-        finalize(j, /*converged=*/false);
-      }
-      continue;  // next top-of-loop sees no active systems and exits
-    }
-
-    // Per-system block step: α = Gram⁻¹ Pᵀw (pᵀr = pᵀw for projected
-    // panels), λ += P α, r −= Q α — every system advances through the
-    // union of the block's search directions.
-    coeff.resize(batch.size());
-    for (std::size_t j : batch) {
-      System& s = sys[j];
-      la::gemv(1.0, pview, la::Trans::Yes, s.w.data(), 0.0, coeff.data());
-      gram.solve(coeff.data());
-      la::gemv(1.0, pview, la::Trans::No, coeff.data(), 1.0,
-               s.lambda.data());
-      la::gemv(-1.0, qview, la::Trans::No, coeff.data(), 1.0, s.r.data());
-      projector_.apply(s.r.data(), s.w.data());
-      ++s.iterations;
-    }
-
-
-    // Next panel: Y = deflated-preconditioned residuals, conjugated
-    // against the current panel via β = −Gram⁻¹ QᵀY.
-    precondition(batch);
-    for (std::size_t j : batch) {
-      System& s = sys[j];
-      la::gemv(1.0, qview, la::Trans::Yes, s.y.data(), 0.0, coeff.data());
-      gram.solve(coeff.data());
-      la::scal(width, -1.0, coeff.data());
-      if (width == 1) {
-        // pview aliases s.p here: conjugate in place on y (bitwise the
-        // same accumulation), then swap the buffers so p becomes the new
-        // direction without ever overwriting the aliased panel.
-        la::gemv(1.0, pview, la::Trans::No, coeff.data(), 1.0, s.y.data());
-        std::swap(s.p, s.y);
-      } else {
-        s.p = s.y;
-        la::gemv(1.0, pview, la::Trans::No, coeff.data(), 1.0, s.p.data());
-      }
-    }
-  }
-  return results;
-}
-
-// ---------------------------------------------------------------------------
-// Device-resident engines
-// ---------------------------------------------------------------------------
-//
-// Twins of solve_impl / solve_block_impl that keep every per-system vector
-// (λ, r, w, y, p, q and the search panels) on the dual operator's device
-// for the whole solve. The setup and finalization run host-side exactly
-// like the host engines (λ₀, F λ₀, the w₀ floor, the Galerkin warm start,
-// α and the recycler harvest all see the same host values); the state is
-// uploaded once, iterated on with device kernels, and downloaded per
-// system on finalization. Per iteration only convergence scalars, Gram
-// blocks, and coarse right-hand sides cross PCIe — never an O(n) vector.
-//
-// Bit-identity with the host engines (and therefore identical iteration
-// counts) holds because every device kernel runs the same la:: calls on
-// the same values in the same per-system order; the only reordering is
-// across independent systems, which cannot change any value.
-
-std::vector<PcpgResult> Pcpg::solve_impl_device(
-    const std::vector<double>* const* d, std::size_t nsys,
-    bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  gpu::ExecutionContext* ctx = f_.device_context();
-  gpu::Device& dev = ctx->device();
-  gpu::Stream main = ctx->main_stream();
-  const std::size_t N = static_cast<std::size_t>(n);
-  const std::size_t vec_bytes = N * sizeof(double);
-
-  struct System {
-    std::vector<double> lambda, r;  ///< host copies: setup + finalization
-    double* d_lambda = nullptr;
-    double* d_r = nullptr;
-    double* d_w = nullptr;
-    double* d_y = nullptr;
-    double* d_p = nullptr;
-    double* d_q = nullptr;
-    double w0_norm = 0.0;
-    double wy = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-
-  // 6 per-system vectors + 2 shared panels + the scalar return block.
-  DeviceSlab slab(dev, N * (6 * nsys + 2 * nsys) + nsys);
-  for (std::size_t j = 0; j < nsys; ++j) {
-    sys[j].d_lambda = slab.data + (6 * j + 0) * N;
-    sys[j].d_r = slab.data + (6 * j + 1) * N;
-    sys[j].d_w = slab.data + (6 * j + 2) * N;
-    sys[j].d_y = slab.data + (6 * j + 3) * N;
-    sys[j].d_p = slab.data + (6 * j + 4) * N;
-    sys[j].d_q = slab.data + (6 * j + 5) * N;
-  }
-  double* xpanel = slab.data + 6 * nsys * N;
-  double* ypanel = xpanel + nsys * N;
-  double* out_dev = ypanel + nsys * N;
-  std::vector<double> out_host(nsys);
-
-  // λ₀ and F λ₀ depend on the problem only — computed once, shared, on the
-  // host (identical to the host engine; these are setup, not loop, costs).
-  std::vector<double> lambda0(N);
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(N);
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged, bool download) {
-    System& s = sys[j];
-    if (download) {
-      main.memcpy_d2h(s.lambda.data(), s.d_lambda, vec_bytes);
-      main.memcpy_d2h(s.r.data(), s.d_r, vec_bytes);
-      main.synchronize();
-    }
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  // Device twin of the lockstep preconditioner step (line 12): one batched
-  // M⁻¹ application on device views, then the device projector.
-  //
-  // A preconditioner pooled on a different execution context (the sharded
-  // operator anchors on its internal shard-0 context) submits on streams
-  // with no ordering against `main` — drain `main` first so it reads
-  // complete inputs. Same-context preconditioners share the in-order main
-  // queue and need no fence.
-  const bool foreign_m =
-      m_ != nullptr && m_->device_context() != ctx;
-  std::vector<const double*> cptrs;
-  std::vector<double*> ptrs;
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    if (m_ == nullptr) {
-      for (std::size_t j : js)
-        gpu::kernels::copy(main, sys[j].d_w, sys[j].d_y, n);
-      return;
-    }
-    if (js.size() == 1) {
-      System& s = sys[js.front()];
-      if (foreign_m) main.synchronize();
-      m_->apply_device(s.d_w, xpanel, 1);
-      projector_.apply_device(dev, main, {xpanel}, {s.d_y});
-      return;
-    }
-    cptrs.clear();
-    for (std::size_t j : js) cptrs.push_back(sys[j].d_w);
-    gpu::kernels::pack_columns(main, cptrs, xpanel, n);
-    if (foreign_m) main.synchronize();
-    m_->apply_device(xpanel, ypanel, static_cast<idx>(js.size()));
-    cptrs.clear();
-    ptrs.clear();
-    for (std::size_t b = 0; b < js.size(); ++b) {
-      cptrs.push_back(ypanel + b * N);
-      ptrs.push_back(sys[js[b]].d_y);
-    }
-    projector_.apply_device(dev, main, cptrs, ptrs);
-  };
-
-  // Host-side setup, identical to the host engine up to the first search
-  // direction (including the *batched* host preconditioner application,
-  // whose SYMM path differs bitwise from per-system SYMV); then one upload
-  // of the live per-system state.
-  std::vector<std::vector<double>> w0v(nsys), y0(nsys);
-  std::vector<double> t_host(N), tin, tout;
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(N);
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    w0v[j].resize(N);
-    projector_.apply(s.r.data(), w0v[j].data());
-    s.w0_norm = la::nrm2(n, w0v[j].data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true, /*download=*/false);
-      continue;
-    }
-    pending.push_back(j);
-  }
-  if (!pending.empty()) {
-    for (std::size_t j : pending) y0[j].resize(N);
-    if (m_ == nullptr) {
-      for (std::size_t j : pending) y0[j] = w0v[j];
-    } else if (pending.size() == 1) {
-      const std::size_t j = pending.front();
-      m_->apply(w0v[j].data(), t_host.data());
-      projector_.apply(t_host.data(), y0[j].data());
-    } else {
-      tin.resize(N * pending.size());
-      tout.resize(tin.size());
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        std::copy_n(w0v[pending[b]].data(), n, tin.data() + b * N);
-      m_->apply(tin.data(), tout.data(), static_cast<idx>(pending.size()));
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        projector_.apply(tout.data() + b * N, y0[pending[b]].data());
-    }
-  }
-  for (std::size_t j : pending) {
-    System& s = sys[j];
-    s.wy = la::dot(n, w0v[j].data(), y0[j].data());
-    main.memcpy_h2d(s.d_lambda, s.lambda.data(), vec_bytes);
-    main.memcpy_h2d(s.d_r, s.r.data(), vec_bytes);
-    main.memcpy_h2d(s.d_w, w0v[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_y, y0[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_p, y0[j].data(), vec_bytes);  // p = y
-  }
-  main.synchronize();
-
-  std::vector<double> alphas, betas;
-  std::vector<std::size_t> batch;
-  for (;;) {
-    batch.clear();
-    std::vector<std::size_t> active;
-    cptrs.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      if (!sys[j].active) continue;
-      active.push_back(j);
-      cptrs.push_back(sys[j].d_w);
-    }
-    if (active.empty()) break;
-    gpu::kernels::nrm2_many(main, cptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev,
-                    active.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < active.size(); ++b) {
-      const std::size_t j = active[b];
-      System& s = sys[j];
-      s.rel = out_host[b] / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true, /*download=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false, /*download=*/true);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // Q(:,b) = F P(:,b) on device views — the staging copies of the host
-    // engine become device-side packs (width 1 needs none at all).
-    if (batch.size() == 1) {
-      System& s = sys[batch.front()];
-      f_.apply_device(s.d_p, s.d_q, 1);
-    } else {
-      cptrs.clear();
-      ptrs.clear();
-      for (std::size_t j : batch) {
-        cptrs.push_back(sys[j].d_p);
-        ptrs.push_back(sys[j].d_q);
-      }
-      gpu::kernels::pack_columns(main, cptrs, xpanel, n);
-      f_.apply_device(xpanel, ypanel, static_cast<idx>(batch.size()));
-      gpu::kernels::unpack_columns(main, ypanel, ptrs, n);
-    }
-
-    // pq = pᵀq per system, one fused dot kernel + one scalar block D2H.
-    cptrs.clear();
-    std::vector<const double*> qptrs;
-    for (std::size_t j : batch) {
-      cptrs.push_back(sys[j].d_p);
-      qptrs.push_back(sys[j].d_q);
-    }
-    gpu::kernels::dot_many(main, cptrs, qptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev, batch.size() * sizeof(double));
-    main.synchronize();
-
-    pending.clear();
-    alphas.clear();
-    std::vector<double*> lam_ptrs, r_ptrs;
-    std::vector<const double*> p_ptrs, q_ptrs;
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const std::size_t j = batch[b];
-      System& s = sys[j];
-      const double pq = out_host[b];
-      if (pq <= 0.0) {
-        // Same breakdown contract as the host engine; s.rel already holds
-        // the value the host recomputes (w is untouched this iteration).
-        check(!throw_on_breakdown,
-              "Pcpg: operator lost positive definiteness");
-        ++s.iterations;
-        finalize(j, /*converged=*/false, /*download=*/true);
-        continue;
-      }
-      const double delta = s.wy / pq;                       // line 8
-      alphas.push_back(delta);
-      p_ptrs.push_back(s.d_p);
-      q_ptrs.push_back(s.d_q);
-      lam_ptrs.push_back(s.d_lambda);
-      r_ptrs.push_back(s.d_r);
-      pending.push_back(j);
-    }
-    if (pending.empty()) continue;
-    // Lines 9-11 for all survivors: two fused axpy sweeps + the batched
-    // device projector.
-    gpu::kernels::axpy_many(main, alphas, p_ptrs, lam_ptrs, n);
-    for (double& a : alphas) a = -a;
-    gpu::kernels::axpy_many(main, alphas, q_ptrs, r_ptrs, n);
-    cptrs.clear();
-    ptrs.clear();
-    for (std::size_t j : pending) {
-      cptrs.push_back(sys[j].d_r);
-      ptrs.push_back(sys[j].d_w);
-    }
-    projector_.apply_device(dev, main, cptrs, ptrs);
-    precondition(pending);
-    // Lines 13-14: one fused dot for wy', one fused p-recurrence sweep.
-    cptrs.clear();
-    std::vector<const double*> yptrs;
-    for (std::size_t j : pending) {
-      cptrs.push_back(sys[j].d_w);
-      yptrs.push_back(sys[j].d_y);
-    }
-    gpu::kernels::dot_many(main, cptrs, yptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev,
-                    pending.size() * sizeof(double));
-    main.synchronize();
-    betas.clear();
-    ptrs.clear();
-    for (std::size_t b = 0; b < pending.size(); ++b) {
-      System& s = sys[pending[b]];
-      const double wy_next = out_host[b];
-      betas.push_back(wy_next / s.wy);                      // line 13
-      s.wy = wy_next;
-      ptrs.push_back(s.d_p);
-      ++s.iterations;
-    }
-    gpu::kernels::xpby_many(main, yptrs, betas, ptrs, n);   // line 14
-  }
-  return results;
-}
-
-std::vector<PcpgResult> Pcpg::solve_block_impl_device(
-    const std::vector<double>* const* d, std::size_t nsys,
-    bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  KrylovRecycler* recycler = options_.block.recycle ? recycler_ : nullptr;
-
-  gpu::ExecutionContext* ctx = f_.device_context();
-  gpu::Device& dev = ctx->device();
-  gpu::Stream main = ctx->main_stream();
-  const std::size_t N = static_cast<std::size_t>(n);
-  const std::size_t vec_bytes = N * sizeof(double);
-
-  struct System {
-    std::vector<double> lambda, r;  ///< host copies: setup + finalization
-    double* d_lambda = nullptr;
-    double* d_r = nullptr;
-    double* d_w = nullptr;
-    double* d_y = nullptr;
-    double* d_p = nullptr;
-    double w0_norm = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    int deflation_dim = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-
-  // 5 per-system vectors + P/Q panels + preconditioner staging panels +
-  // the Gram block, the coefficient block, and the scalar return block.
-  DeviceSlab slab(dev, N * (5 * nsys + 4 * nsys) + 2 * nsys * nsys + nsys);
-  for (std::size_t j = 0; j < nsys; ++j) {
-    sys[j].d_lambda = slab.data + (5 * j + 0) * N;
-    sys[j].d_r = slab.data + (5 * j + 1) * N;
-    sys[j].d_w = slab.data + (5 * j + 2) * N;
-    sys[j].d_y = slab.data + (5 * j + 3) * N;
-    sys[j].d_p = slab.data + (5 * j + 4) * N;
-  }
-  double* xpanel = slab.data + 5 * nsys * N;   ///< search panel P
-  double* ypanel = xpanel + nsys * N;          ///< Q = F P
-  double* tin = ypanel + nsys * N;             ///< precond staging in
-  double* tout = tin + nsys * N;               ///< precond staging out
-  double* gram_dev = tout + nsys * N;
-  double* coeff_dev = gram_dev + nsys * nsys;
-  double* out_dev = coeff_dev + nsys * nsys;
-  std::vector<double> out_host(nsys);
-
-  std::vector<double> lambda0(N);
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(N);
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged, bool download) {
-    System& s = sys[j];
-    if (download) {
-      main.memcpy_d2h(s.lambda.data(), s.d_lambda, vec_bytes);
-      main.memcpy_d2h(s.r.data(), s.d_r, vec_bytes);
-      main.synchronize();
-    }
-    if (converged && recycler != nullptr && s.iterations > 0) {
-      // Identical harvest to the host engine, on the downloaded state.
-      std::vector<double> inc(N);
-      std::vector<double> finc(N);
-      const std::vector<double>& dj = *d[j];
-      for (idx i = 0; i < n; ++i) {
-        inc[i] = s.lambda[i] - lambda0[i];
-        finc[i] = dj[i] - s.r[i] - q0[i];
-      }
-      recycler->absorb(inc.data(), finc.data());
-    }
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].deflation_dim = s.deflation_dim;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  std::vector<const double*> cptrs;
-  std::vector<double*> ptrs;
-  // Device twin of the deflated preconditioner step: M⁻¹ on device views,
-  // device projector, then the recycler's device panel projection. A
-  // preconditioner pooled on a different execution context (the sharded
-  // operator anchors on its internal shard-0 context) needs `main` drained
-  // first — its streams carry no ordering against the main queue.
-  const bool foreign_m =
-      m_ != nullptr && m_->device_context() != ctx;
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    const bool deflate = recycler != nullptr && recycler->dim() > 0;
-    ptrs.clear();
-    for (std::size_t j : js) ptrs.push_back(sys[j].d_y);
-    if (m_ == nullptr) {
-      for (std::size_t j : js)
-        gpu::kernels::copy(main, sys[j].d_w, sys[j].d_y, n);
-    } else if (js.size() == 1) {
-      System& s = sys[js.front()];
-      if (foreign_m) main.synchronize();
-      m_->apply_device(s.d_w, tin, 1);
-      projector_.apply_device(dev, main, {tin}, {s.d_y});
-    } else {
-      cptrs.clear();
-      for (std::size_t j : js) cptrs.push_back(sys[j].d_w);
-      gpu::kernels::pack_columns(main, cptrs, tin, n);
-      if (foreign_m) main.synchronize();
-      m_->apply_device(tin, tout, static_cast<idx>(js.size()));
-      cptrs.clear();
-      for (std::size_t b = 0; b < js.size(); ++b)
-        cptrs.push_back(tout + b * N);
-      projector_.apply_device(dev, main, cptrs, ptrs);
-    }
-    if (deflate) recycler->project_out_device(dev, main, ptrs);
-  };
-
-  // Host-side setup identical to the host engine (floor check, Galerkin
-  // warm start, the *batched* first preconditioned direction), then one
-  // upload of the live per-system state.
-  std::vector<std::vector<double>> w0v(nsys), y0(nsys);
-  std::vector<double> t_host(N), tin_host, tout_host;
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(N);
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    w0v[j].resize(N);
-    projector_.apply(s.r.data(), w0v[j].data());
-    s.w0_norm = la::nrm2(n, w0v[j].data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true, /*download=*/false);
-      continue;
-    }
-    if (recycler != nullptr && recycler->dim() > 0) {
-      s.deflation_dim = recycler->deflate_initial(s.lambda.data(),
-                                                  s.r.data());
-      projector_.apply(s.r.data(), w0v[j].data());
-    }
-    pending.push_back(j);
-  }
-  if (!pending.empty()) {
-    const bool deflate = recycler != nullptr && recycler->dim() > 0;
-    const auto project_y = [&](const double* src, double* dst) {
-      if (deflate)
-        projector_.apply_deflated(src, dst, *recycler);
-      else
-        projector_.apply(src, dst);
-    };
-    for (std::size_t j : pending) y0[j].resize(N);
-    if (m_ == nullptr) {
-      for (std::size_t j : pending) {
-        y0[j] = w0v[j];
-        if (deflate) recycler->project_out(y0[j].data(), 1);
-      }
-    } else if (pending.size() == 1) {
-      const std::size_t j = pending.front();
-      m_->apply(w0v[j].data(), t_host.data());
-      project_y(t_host.data(), y0[j].data());
-    } else {
-      tin_host.resize(N * pending.size());
-      tout_host.resize(tin_host.size());
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        std::copy_n(w0v[pending[b]].data(), n, tin_host.data() + b * N);
-      m_->apply(tin_host.data(), tout_host.data(),
-                static_cast<idx>(pending.size()));
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        project_y(tout_host.data() + b * N, y0[pending[b]].data());
-    }
-  }
-  for (std::size_t j : pending) {
-    System& s = sys[j];
-    main.memcpy_h2d(s.d_lambda, s.lambda.data(), vec_bytes);
-    main.memcpy_h2d(s.d_r, s.r.data(), vec_bytes);
-    main.memcpy_h2d(s.d_w, w0v[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_y, y0[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_p, y0[j].data(), vec_bytes);  // p = y
-  }
-  main.synchronize();
-
-  std::vector<double> coeff_host;
-  la::DenseMatrix gram_mat;
-  std::vector<std::size_t> batch;
-  GramSolver gram;
-  for (;;) {
-    batch.clear();
-    std::vector<std::size_t> active;
-    cptrs.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      if (!sys[j].active) continue;
-      active.push_back(j);
-      cptrs.push_back(sys[j].d_w);
-    }
-    if (active.empty()) break;
-    gpu::kernels::nrm2_many(main, cptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev,
-                    active.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < active.size(); ++b) {
-      const std::size_t j = active[b];
-      System& s = sys[j];
-      s.rel = out_host[b] / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true, /*download=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false, /*download=*/true);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // Shared panel apply Q = F P; width 1 aliases the system's own device
-    // direction exactly like the host engine's width-1 path.
-    const idx width = static_cast<idx>(batch.size());
-    const double* panel = nullptr;
-    if (width == 1) {
-      System& s = sys[batch.front()];
-      f_.apply_device(s.d_p, ypanel, 1);
-      panel = s.d_p;
-    } else {
-      cptrs.clear();
-      for (std::size_t j : batch) cptrs.push_back(sys[j].d_p);
-      gpu::kernels::pack_columns(main, cptrs, xpanel, n);
-      f_.apply_device(xpanel, ypanel, width);
-      panel = xpanel;
-    }
-    const gpu::DeviceDense pdev{const_cast<double*>(panel), n, width, n,
-                                la::Layout::ColMajor};
-    const gpu::DeviceDense qdev{ypanel, n, width, n, la::Layout::ColMajor};
-
-    // Gram block PᵀFP as one device gemm; only the width² block comes back
-    // for the host-side rank-revealing factorization.
-    main.submit([pdev, qdev, gram_dev, width] {
-      la::DenseView g(gram_dev, width, width, width, la::Layout::ColMajor);
-      la::gemm(1.0, pdev.cview(), la::Trans::Yes, qdev.cview(), la::Trans::No,
-               0.0, g);
-    });
-    gram_mat = la::DenseMatrix(width, width, la::Layout::ColMajor);
-    main.memcpy_d2h(gram_mat.data(), gram_dev,
-                    static_cast<std::size_t>(width) * width * sizeof(double));
-    main.synchronize();
-    gram.factor(gram_mat, options_.block.pivot_rel_tolerance);
-    if (gram.rank() == 0) {
-      // Whole-panel breakdown, same contract as the host engine; s.rel
-      // already holds the value the host recomputes.
-      check(!throw_on_breakdown,
-            "Pcpg: operator lost positive definiteness");
-      for (std::size_t j : batch) {
-        ++sys[j].iterations;
-        finalize(j, /*converged=*/false, /*download=*/true);
-      }
-      continue;
-    }
-
-    // Step coefficients for every system: one fused Pᵀw sweep, one
-    // coefficient-block round trip for the host Gram solves, one fused
-    // λ/r update sweep, then the batched device projector.
-    const std::size_t W = static_cast<std::size_t>(width);
-    {
-      std::vector<const double*> wptrs;
-      for (std::size_t j : batch) wptrs.push_back(sys[j].d_w);
-      main.submit([pdev, coeff_dev, W, wptrs] {
-        for (std::size_t b = 0; b < wptrs.size(); ++b)
-          la::gemv(1.0, pdev.cview(), la::Trans::Yes, wptrs[b], 0.0,
-                   coeff_dev + b * W);
-      });
-    }
-    coeff_host.resize(W * batch.size());
-    main.memcpy_d2h(coeff_host.data(), coeff_dev,
-                    coeff_host.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < batch.size(); ++b)
-      gram.solve(coeff_host.data() + b * W);
-    main.memcpy_h2d(coeff_dev, coeff_host.data(),
-                    coeff_host.size() * sizeof(double));
-    {
-      std::vector<double*> lam_ptrs, r_ptrs;
-      for (std::size_t j : batch) {
-        lam_ptrs.push_back(sys[j].d_lambda);
-        r_ptrs.push_back(sys[j].d_r);
-      }
-      main.submit([pdev, qdev, coeff_dev, W, lam_ptrs, r_ptrs] {
-        for (std::size_t b = 0; b < lam_ptrs.size(); ++b) {
-          la::gemv(1.0, pdev.cview(), la::Trans::No, coeff_dev + b * W, 1.0,
-                   lam_ptrs[b]);
-          la::gemv(-1.0, qdev.cview(), la::Trans::No, coeff_dev + b * W, 1.0,
-                   r_ptrs[b]);
-        }
-      });
-    }
-    cptrs.clear();
-    ptrs.clear();
-    for (std::size_t j : batch) {
-      cptrs.push_back(sys[j].d_r);
-      ptrs.push_back(sys[j].d_w);
-    }
-    projector_.apply_device(dev, main, cptrs, ptrs);
-    for (std::size_t j : batch) ++sys[j].iterations;
-
-    // Next panel: preconditioned (and deflation-projected) residuals,
-    // conjugated against the current panel — one fused QᵀY sweep, one
-    // coefficient round trip, one fused p-update sweep.
-    precondition(batch);
-    {
-      std::vector<const double*> yptrs;
-      for (std::size_t j : batch) yptrs.push_back(sys[j].d_y);
-      main.submit([qdev, coeff_dev, W, yptrs] {
-        for (std::size_t b = 0; b < yptrs.size(); ++b)
-          la::gemv(1.0, qdev.cview(), la::Trans::Yes, yptrs[b], 0.0,
-                   coeff_dev + b * W);
-      });
-    }
-    main.memcpy_d2h(coeff_host.data(), coeff_dev,
-                    coeff_host.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      gram.solve(coeff_host.data() + b * W);
-      la::scal(width, -1.0, coeff_host.data() + b * W);
-    }
-    main.memcpy_h2d(coeff_dev, coeff_host.data(),
-                    coeff_host.size() * sizeof(double));
-    if (width == 1) {
-      // The panel aliases d_p: conjugate in place on y and swap pointers,
-      // mirroring the host engine's width-1 recurrence.
-      System& s = sys[batch.front()];
-      double* d_y = s.d_y;
-      main.submit([pdev, coeff_dev, d_y] {
-        la::gemv(1.0, pdev.cview(), la::Trans::No, coeff_dev, 1.0, d_y);
-      });
-      std::swap(s.d_p, s.d_y);
-    } else {
-      std::vector<const double*> yptrs;
-      ptrs.clear();
-      for (std::size_t j : batch) {
-        yptrs.push_back(sys[j].d_y);
-        ptrs.push_back(sys[j].d_p);
-      }
-      main.submit([pdev, coeff_dev, W, n, yptrs, ptrs] {
-        for (std::size_t b = 0; b < yptrs.size(); ++b) {
-          std::copy_n(yptrs[b], static_cast<std::size_t>(n), ptrs[b]);
-          la::gemv(1.0, pdev.cview(), la::Trans::No, coeff_dev + b * W, 1.0,
-                   ptrs[b]);
-        }
-      });
-    }
-  }
-  return results;
+  return Engine(f_, projector_, m_, recycler, options_, d, nsys)
+      .solve(nullptr);
 }
 
 }  // namespace feti::core

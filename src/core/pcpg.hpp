@@ -4,14 +4,20 @@
 // the paper: the dual operator F is applied once per iteration (line 7),
 // the projector twice, the preconditioner once.
 //
-// solve_many() runs several independent dual systems in lockstep and
-// funnels their per-iteration operator applications through the batched
+// solve_many() runs several independent dual systems at once and funnels
+// their per-iteration operator applications through the batched
 // DualOperator::apply(X, Y, nrhs) entry point, so operators with a batch
-// implementation (the explicit CPU ones: one SYMM per subdomain and
-// iteration) serve a whole block of simultaneous right-hand sides at
-// BLAS-3 rates; the others fall back to per-column applies. The
-// preconditioner applications of a lockstep wave are batched the same way
-// through Preconditioner::apply(X, Y, nrhs).
+// implementation (one SYMM per subdomain and iteration) serve a whole block
+// of simultaneous right-hand sides at BLAS-3 rates. The preconditioner
+// applications of a batch are batched the same way through
+// Preconditioner::apply(X, Y, nrhs). By default every system steps along
+// its own direction (lockstep); BlockPcpgOptions::enabled makes the systems
+// share one search panel instead.
+//
+// One engine runs every mode. Its loop state lives on a host backend, or —
+// under PcpgOptions::device_state — on a device backend that submits the
+// same operation bodies to the dual operator's device stream, so the two
+// agree bit for bit.
 //
 // The preconditioner is selected by registry key (see
 // precond/precond_registry.hpp for the `<kind> <scaling>[ gpu]` grammar).
@@ -34,12 +40,6 @@ namespace feti::core {
 
 class KrylovRecycler;
 
-/// Pre-registry preconditioner selector, kept so legacy callers compile;
-/// the string key in PcpgOptions is the real interface now.
-enum class PreconditionerKind : std::uint8_t { None, Lumped };
-
-const char* to_string(PreconditionerKind p);
-
 /// Block-mode and recycling knobs of the PCPG loop. Both default off — the
 /// per-system lockstep iteration is the historical behavior.
 struct BlockPcpgOptions {
@@ -52,7 +52,10 @@ struct BlockPcpgOptions {
   /// right-hand sides (the service layer's waves) converge in fewer
   /// iterations because every system steps through the union of the
   /// block's search directions. solve() routes through the same path with
-  /// a width-1 panel — required for recycling single-RHS time steps.
+  /// a width-1 panel — required for recycling single-RHS time steps. A
+  /// width-1 panel is not the lockstep recurrence: its Gram solve rounds
+  /// differently from lockstep's division by pᵀq, so the two modes may
+  /// differ by an iteration.
   bool enabled = false;
   /// Cross-step Krylov recycling: harvest the search-direction panel of
   /// this solve into the caller-provided KrylovRecycler (set_recycler) and
@@ -80,8 +83,8 @@ struct PcpgOptions {
   /// views (no per-iteration H2D/D2H vector staging), the projector and
   /// deflation G/U-panel products run as device kernels, and only the
   /// small Gram blocks and convergence scalars cross PCIe per iteration.
-  /// Bit-identical to the host-staged loop (same kernels, same order), so
-  /// iteration counts match exactly.
+  /// Bit-identical to the host-staged loop (the same engine submits the
+  /// same operation bodies to the device), so iteration counts match.
   ///   Auto — use the device path when eligible, fall back to the host
   ///          path otherwise (including on device out-of-memory);
   ///   Off  — always host-staged;
@@ -99,12 +102,6 @@ struct PcpgOptions {
   BlockPcpgOptions block;
   /// Device-residency mode of the solver loop (see DeviceState).
   DeviceState device_state = DeviceState::Auto;
-
-  /// Deprecated enum-based selector; assigns the equivalent registry key.
-  [[deprecated("assign the registry key to `preconditioner` instead")]]
-  void set_preconditioner(PreconditionerKind kind) {
-    preconditioner = to_string(kind);
-  }
 };
 
 struct PcpgResult {
@@ -113,10 +110,21 @@ struct PcpgResult {
   int iterations = 0;
   double rel_residual = 0.0;
   bool converged = false;
+  /// The system stopped because the operator lost positive definiteness
+  /// (lockstep: pᵀFp ≤ 0; block: the whole Gram panel deflated). The
+  /// iteration that found it is counted, and λ, α and rel_residual describe
+  /// the state before it. Implies !converged.
+  bool breakdown = false;
   /// Width of the recycled deflation space applied at the start of this
   /// solve (0 = cold start / recycling off).
   int deflation_dim = 0;
 };
+
+/// Throws std::invalid_argument("Pcpg: operator lost positive
+/// definiteness") when `breakdown` is set — the contract of the single-RHS
+/// entry points Pcpg::solve() and FetiSolver::solve_step(); batch entry
+/// points report PcpgResult::breakdown instead.
+void check_breakdown(bool breakdown);
 
 class Pcpg {
  public:
@@ -130,16 +138,17 @@ class Pcpg {
        precond::Preconditioner* m = nullptr);
   ~Pcpg();
 
-  /// Solves F λ = d subject to Gᵀλ = e.
+  /// Solves F λ = d subject to Gᵀλ = e. Throws on breakdown
+  /// (check_breakdown).
   PcpgResult solve(const std::vector<double>& d);
 
   /// Solves F λᵢ = dᵢ subject to Gᵀλᵢ = e for several right-hand sides at
   /// once. Each system iterates with its own step lengths and stops on its
   /// own criterion; the F applications of all still-active systems are
   /// batched per iteration. Results are returned in input order. A system
-  /// that loses positive definiteness is reported as non-converged without
-  /// disturbing the remaining systems — regardless of batch size; only
-  /// solve() keeps the historical throwing contract.
+  /// that loses positive definiteness is reported with `breakdown` set
+  /// without disturbing the remaining systems — regardless of batch size;
+  /// only solve() throws.
   std::vector<PcpgResult> solve_many(const std::vector<std::vector<double>>& d);
 
   /// Borrowed-RHS variant of solve_many: the caller aliases right-hand
@@ -157,39 +166,16 @@ class Pcpg {
   void set_recycler(KrylovRecycler* recycler) { recycler_ = recycler; }
 
  private:
-  /// Routes a solve to the device-resident or host-staged engine per
-  /// options.device_state (Auto additionally falls back to the host engine
-  /// when the device runs out of memory mid-setup).
+  /// Runs one solve of `nsys` borrowed right-hand sides on the device
+  /// backend when device_eligible(), else on the host backend (Auto also
+  /// falls back to the host when the device runs out of memory).
   std::vector<PcpgResult> run(const std::vector<double>* const* d,
-                              std::size_t nsys, bool throw_on_breakdown);
+                              std::size_t nsys);
 
-  /// True when the device engines may run: the operator has a device
-  /// context and the preconditioner (if any) does too. Throws under
+  /// True when the loop state may live on the device: the operator has a
+  /// device context and the preconditioner (if any) does too. Throws under
   /// DeviceState::On when the requirement is unmet.
   [[nodiscard]] bool device_eligible();
-
-  /// Shared lockstep implementation over borrowed right-hand sides.
-  /// `throw_on_breakdown` preserves solve()'s historical throwing contract;
-  /// solve_many() instead reports the broken system as non-converged.
-  std::vector<PcpgResult> solve_impl(const std::vector<double>* const* d,
-                                     std::size_t nsys,
-                                     bool throw_on_breakdown);
-
-  /// Shared-Krylov block implementation (options.block.enabled); same
-  /// result contract as solve_impl, plus deflation/recycling.
-  std::vector<PcpgResult> solve_block_impl(const std::vector<double>* const* d,
-                                           std::size_t nsys,
-                                           bool throw_on_breakdown);
-
-  /// Device-resident twins of the two engines: per-system state lives on
-  /// the operator's device for the whole solve, per-iteration PCIe traffic
-  /// is O(scalars). Bit-identical results and iteration counts.
-  std::vector<PcpgResult> solve_impl_device(const std::vector<double>* const* d,
-                                            std::size_t nsys,
-                                            bool throw_on_breakdown);
-  std::vector<PcpgResult> solve_block_impl_device(
-      const std::vector<double>* const* d, std::size_t nsys,
-      bool throw_on_breakdown);
 
   DualOperator& f_;
   const Projector& projector_;

@@ -189,44 +189,6 @@ inline void gather_batch(Stream& s, double* cluster, idx cluster_size,
 /// Sets a device vector to zero.
 void fill_zero(Stream& s, double* data, idx n);
 
-// ---- device-resident PCPG vector kernels ----
-// The solver-loop kernels of the device-state PCPG mode (core/pcpg.cpp):
-// each submission performs the *identical* la:: / elementwise arithmetic
-// the host-staged loop runs, looping over all systems of a lockstep batch
-// in one launch — so a whole batch costs one submission, and the device
-// path reproduces the host path bit-for-bit (device memory is host memory
-// in the virtual runtime, and the operation order is mirrored exactly).
-
-/// dst = src (device-to-device copy of an n-vector).
-void copy(Stream& s, const double* src, double* dst, idx n);
-
-/// One submission: out[b] = la::dot(n, xs[b], ys[b]).
-void dot_many(Stream& s, std::vector<const double*> xs,
-              std::vector<const double*> ys, idx n, double* out);
-
-/// One submission: out[b] = la::nrm2(n, xs[b]).
-void nrm2_many(Stream& s, std::vector<const double*> xs, idx n, double* out);
-
-/// One submission: ys[b] += alphas[b] * xs[b] (the λ/r updates of the
-/// lockstep step, all systems fused).
-void axpy_many(Stream& s, std::vector<double> alphas,
-               std::vector<const double*> xs, std::vector<double*> ys,
-               idx n);
-
-/// One submission: ps[b][i] = ys[b][i] + betas[b] * ps[b][i] — the
-/// search-direction recurrence (Algorithm 1 line 14), all systems fused.
-void xpby_many(Stream& s, std::vector<const double*> ys,
-               std::vector<double> betas, std::vector<double*> ps, idx n);
-
-/// One submission: panel column b (contiguous, leading dimension n) = srcs[b]
-/// — the device mirror of the host path's std::copy_n panel packing.
-void pack_columns(Stream& s, std::vector<const double*> srcs, double* panel,
-                  idx n);
-
-/// One submission: dsts[b] = panel column b — the unpack mirror.
-void unpack_columns(Stream& s, const double* panel, std::vector<double*> dsts,
-                    idx n);
-
 /// fp64→fp32 demotion of a device dense matrix (full rectangle; layouts
 /// and leading dimensions may differ). One stream-ordered submission.
 void demote(Stream& s, DeviceDense src, DeviceDenseF32 dst);

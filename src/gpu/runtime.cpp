@@ -101,18 +101,22 @@ void TempAllocator::free(void* p) {
             " is not a live allocation (double free, or not an allocation "
             "start)");
   // Insert into the free list sorted by offset and coalesce neighbours.
-  auto it = free_list_.begin();
-  while (it != free_list_.end() && it->offset < blk.offset) ++it;
-  it = free_list_.insert(it, blk);
-  if (it + 1 != free_list_.end() &&
-      it->offset + it->size == (it + 1)->offset) {
-    it->size += (it + 1)->size;
-    free_list_.erase(it + 1);
+  // Indexed, not iterator-based: a deque erase invalidates every iterator
+  // (and may free the node an iterator points into).
+  std::size_t i = 0;
+  while (i < free_list_.size() && free_list_[i].offset < blk.offset) ++i;
+  free_list_.insert(free_list_.begin() + static_cast<long>(i), blk);
+  const auto adjacent = [&](std::size_t a) {
+    return free_list_[a].offset + free_list_[a].size ==
+           free_list_[a + 1].offset;
+  };
+  if (i + 1 < free_list_.size() && adjacent(i)) {
+    free_list_[i].size += free_list_[i + 1].size;
+    free_list_.erase(free_list_.begin() + static_cast<long>(i + 1));
   }
-  if (it != free_list_.begin() &&
-      (it - 1)->offset + (it - 1)->size == it->offset) {
-    (it - 1)->size += it->size;
-    free_list_.erase(it);
+  if (i > 0 && adjacent(i - 1)) {
+    free_list_[i - 1].size += free_list_[i].size;
+    free_list_.erase(free_list_.begin() + static_cast<long>(i));
   }
   cv_.notify_all();
 }

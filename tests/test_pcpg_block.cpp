@@ -1,7 +1,7 @@
 // Tests for the block-PCPG path (shared Krylov panel, rank-revealing Gram
 // deflation), cross-step Krylov recycling, and the solver-loop reporting
-// fixes: consistent breakdown state in batches, the scaled zero-RHS floor,
-// and the exhaustive PreconditionerKind shim.
+// fixes: consistent breakdown state in batches and the scaled zero-RHS
+// floor.
 
 #include <gtest/gtest.h>
 
@@ -110,6 +110,7 @@ TEST(PcpgBreakdown, BatchReportsConsistentStateAndCountsSpentApply) {
   // state the λ/α it returns are in (untouched by the failed step → the
   // relative residual is exactly the initial 1).
   EXPECT_FALSE(res[1].converged);
+  EXPECT_TRUE(res[1].breakdown);
   EXPECT_EQ(res[1].iterations, 1);
   EXPECT_DOUBLE_EQ(res[1].rel_residual, 1.0);
 
@@ -117,6 +118,7 @@ TEST(PcpgBreakdown, BatchReportsConsistentStateAndCountsSpentApply) {
   // invariant subspace, so it converges in one iteration and matches a
   // solo solve exactly.
   EXPECT_TRUE(res[0].converged);
+  EXPECT_FALSE(res[0].breakdown);
   EXPECT_EQ(res[0].iterations, 1);
   PcpgResult solo = pcpg.solve(s.healthy);
   ASSERT_EQ(res[0].lambda.size(), solo.lambda.size());
@@ -151,10 +153,43 @@ TEST(PcpgBreakdown, BlockBatchSurvivesRankDeficientPanel) {
 
   // The shared panel mixes a healthy and a negative-curvature column: the
   // pivoted Cholesky keeps the healthy one, so the healthy system still
-  // converges while the broken one runs out of iterations without a throw.
+  // converges; the broken one, left alone on a width-1 panel, is reported
+  // as a breakdown without a throw.
   std::vector<PcpgResult> res = pcpg.solve_many({s.healthy, s.broken});
   EXPECT_TRUE(res[0].converged);
+  EXPECT_FALSE(res[0].breakdown);
   EXPECT_FALSE(res[1].converged);
+  EXPECT_TRUE(res[1].breakdown);
+}
+
+TEST(PcpgBreakdown, FetiSolverForwardsFlagAndThrow) {
+  // fp32-stored F̃ loses positive definiteness below its noise floor, so a
+  // far too tight tolerance ends in a genuine breakdown on a registry key.
+  // solve_step_many reports it as FetiStepResult::breakdown; solve_step
+  // keeps the throwing contract. Both backends report it the same way.
+  decomp::FetiProblem p = heat2d_problem(8, 2);
+  gpu::ExecutionContext dev(quiet_config());
+  for (const auto mode : {PcpgOptions::DeviceState::Off,
+                          PcpgOptions::DeviceState::On}) {
+    const bool device = mode == PcpgOptions::DeviceState::On;
+    core::FetiSolverOptions opts;
+    opts.dualop =
+        core::recommend_config("expl legacy f32", 2, p.max_subdomain_dofs());
+    opts.pcpg.rel_tolerance = 1e-15;
+    opts.pcpg.max_iterations = 1000;
+    opts.pcpg.device_state = mode;
+    core::FetiSolver solver(p, opts, &dev);
+    solver.prepare();
+
+    std::vector<core::FetiStepResult> res = solver.solve_step_many({{}});
+    ASSERT_EQ(res.size(), 1u);
+    EXPECT_TRUE(res[0].breakdown) << "device=" << device;
+    EXPECT_FALSE(res[0].converged) << "device=" << device;
+    EXPECT_LT(res[0].pcpg_iterations, opts.pcpg.max_iterations)
+        << "device=" << device;
+    EXPECT_THROW(solver.solve_step(), std::invalid_argument)
+        << "device=" << device;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,15 +239,6 @@ TEST(PcpgZeroRhs, ExactZeroStillFinalizes) {
   PcpgResult res = pcpg.solve(d);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
-}
-
-// ---------------------------------------------------------------------------
-// PreconditionerKind shim
-// ---------------------------------------------------------------------------
-
-TEST(PreconditionerKind, ToStringCoversEveryEnumerator) {
-  EXPECT_STREQ(core::to_string(core::PreconditionerKind::None), "none");
-  EXPECT_STREQ(core::to_string(core::PreconditionerKind::Lumped), "lumped");
 }
 
 // ---------------------------------------------------------------------------
