@@ -17,7 +17,7 @@ namespace {
 double preprocess_ms_with_streams(decomp::FetiProblem& p, int streams,
                                   gpu::ExecutionContext& ctx) {
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ExplLegacy;
+  cfg.key = "expl legacy";
   cfg.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 3,
                                     p.max_subdomain_dofs());
   cfg.gpu.streams = streams;
@@ -101,8 +101,8 @@ int main() {
       gpu::ExecutionContext ctx(cfg);
       BuiltProblem bp = build_problem(2, fem::Physics::HeatTransfer, 6,
                                       mesh::ElementOrder::Linear);
-      core::DualOpConfig c = config_for(core::Approach::ExplLegacy, 2,
-                                        bp.dofs_per_subdomain);
+      core::DualOpConfig c =
+          core::recommend_config("expl legacy", 2, bp.dofs_per_subdomain);
       const double ms = measure_dualop(bp.problem, c, ctx, 3, 0.02).apply_ms;
       table.add_row({Table::num(latency, 1), Table::num(ms, 4)});
       if (latency == 0.0) t0 = ms;

@@ -32,9 +32,8 @@ int main() {
             BuiltProblem bp = build_problem(dim, physics, c,
                                             mesh::ElementOrder::Linear);
             core::DualOpConfig cfg;
-            cfg.approach = api == gpu::sparse::Api::Legacy
-                               ? core::Approach::ExplLegacy
-                               : core::Approach::ExplModern;
+            cfg.key =
+                api == gpu::sparse::Api::Legacy ? "expl legacy" : "expl modern";
             cfg.gpu = core::recommend_options(api, dim,
                                               bp.dofs_per_subdomain);
             cfg.gpu.fwd_storage = storage;

@@ -161,9 +161,8 @@ int main(int argc, char** argv) {
         for (FactorStorage st :
              {FactorStorage::Sparse, FactorStorage::Dense}) {
           core::DualOpConfig cfg;
-          cfg.approach = api == gpu::sparse::Api::Legacy
-                             ? core::Approach::ExplLegacy
-                             : core::Approach::ExplModern;
+          cfg.key =
+              api == gpu::sparse::Api::Legacy ? "expl legacy" : "expl modern";
           cfg.gpu = core::recommend_options(api, 3, bp.dofs_per_subdomain);
           cfg.gpu.path = core::Path::Syrk;
           cfg.gpu.fwd_storage = st;

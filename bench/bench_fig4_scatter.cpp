@@ -25,7 +25,7 @@ int main() {
     double t[2] = {0, 0};
     for (auto sg : {core::SgLocation::Cpu, core::SgLocation::Gpu}) {
       core::DualOpConfig cfg;
-      cfg.approach = core::Approach::ExplLegacy;
+      cfg.key = "expl legacy";
       cfg.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 3,
                                         bp.dofs_per_subdomain);
       cfg.gpu.scatter_gather = sg;

@@ -18,7 +18,7 @@ using namespace feti::bench;
 
 int main() {
   gpu::ExecutionContext& device = shared_context();
-  const auto approaches = core::all_approaches();
+  const auto approaches = core::DualOperatorRegistry::instance().families();
 
   struct Cell {
     idx dofs;
@@ -34,9 +34,9 @@ int main() {
       BuiltProblem bp = build_problem(dim, fem::Physics::HeatTransfer, c,
                                       mesh::ElementOrder::Linear);
       Cell cell{bp.dofs_per_subdomain, {}};
-      for (core::Approach a : approaches) {
+      for (const std::string& a : approaches) {
         cell.t.push_back(measure_dualop(
-            bp.problem, config_for(a, dim, bp.dofs_per_subdomain), device));
+            bp.problem, core::recommend_config(a, dim, bp.dofs_per_subdomain), device));
       }
       rows.push_back(std::move(cell));
     }
@@ -46,7 +46,7 @@ int main() {
                   "[ms]) ===\n",
                   dim, phase);
       std::vector<std::string> header{"DOFs/subdomain"};
-      for (core::Approach a : approaches) header.push_back(core::to_string(a));
+      for (const std::string& a : approaches) header.push_back(a);
       Table table(header);
       for (const auto& row : rows) {
         std::vector<std::string> cells_out{std::to_string(row.dofs)};
@@ -62,42 +62,42 @@ int main() {
 
     // Shape checks on the largest size.
     const auto& big = rows.back();
-    auto at = [&](core::Approach a) {
+    auto at = [&](std::string_view a) {
       for (std::size_t i = 0; i < approaches.size(); ++i)
         if (approaches[i] == a) return big.t[i];
       return DualOpTiming{};
     };
     shape_check("implicit preprocessing cheaper than explicit (impl mkl vs "
                 "expl mkl)",
-                at(core::Approach::ImplMkl).preprocess_ms <
-                    at(core::Approach::ExplMkl).preprocess_ms);
+                at("impl mkl").preprocess_ms <
+                    at("expl mkl").preprocess_ms);
     shape_check("supernodal factorization is not slower than simplicial "
                 "(impl mkl vs impl cholmod)",
-                at(core::Approach::ImplMkl).preprocess_ms <=
-                    1.15 * at(core::Approach::ImplCholmod).preprocess_ms);
+                at("impl mkl").preprocess_ms <=
+                    1.15 * at("impl cholmod").preprocess_ms);
     shape_check("expl mkl (B-sparsity) beats expl cholmod (densified RHS) "
                 "in preprocessing",
-                at(core::Approach::ExplMkl).preprocess_ms <
-                    at(core::Approach::ExplCholmod).preprocess_ms);
+                at("expl mkl").preprocess_ms <
+                    at("expl cholmod").preprocess_ms);
     // On shared CPU/GPU silicon the explicit-apply advantage shrinks with
     // the interface-to-volume ratio; accept parity within 15%.
     shape_check("explicit CPU application not slower than implicit CPU "
                 "application (within 15%)",
-                at(core::Approach::ExplMkl).apply_ms <
-                    1.15 * at(core::Approach::ImplMkl).apply_ms);
+                at("expl mkl").apply_ms <
+                    1.15 * at("impl mkl").apply_ms);
     // Sub-10us kernels carry measurement noise; require agreement within
     // 45% or 3us, whichever is larger.
     shape_check(
         "both explicit CPU approaches apply at the same speed",
-        std::abs(at(core::Approach::ExplMkl).apply_ms -
-                 at(core::Approach::ExplCholmod).apply_ms) <
-            std::max(0.45 * std::max(at(core::Approach::ExplMkl).apply_ms,
-                                     at(core::Approach::ExplCholmod).apply_ms),
+        std::abs(at("expl mkl").apply_ms -
+                 at("expl cholmod").apply_ms) <
+            std::max(0.45 * std::max(at("expl mkl").apply_ms,
+                                     at("expl cholmod").apply_ms),
                      0.003));
     shape_check("hybrid preprocessing tracks expl mkl (within 35%)",
-                std::abs(at(core::Approach::ExplHybrid).preprocess_ms -
-                         at(core::Approach::ExplMkl).preprocess_ms) <
-                    0.35 * at(core::Approach::ExplMkl).preprocess_ms);
+                std::abs(at("expl hybrid").preprocess_ms -
+                         at("expl mkl").preprocess_ms) <
+                    0.35 * at("expl mkl").preprocess_ms);
   }
   return 0;
 }

@@ -12,7 +12,7 @@ using namespace feti::bench;
 
 int main() {
   gpu::ExecutionContext& device = shared_context();
-  const auto approaches = core::all_approaches();
+  const auto approaches = core::DualOperatorRegistry::instance().families();
   const std::vector<int> iteration_grid = {1,   3,    10,   30,  100,
                                            300, 1000, 3000, 10000};
 
@@ -33,9 +33,9 @@ int main() {
       BuiltProblem bp = build_problem(dim, fem::Physics::HeatTransfer, c,
                                       mesh::ElementOrder::Linear);
       std::vector<DualOpTiming> t;
-      for (core::Approach a : approaches)
+      for (const std::string& a : approaches)
         t.push_back(measure_dualop(
-            bp.problem, config_for(a, dim, bp.dofs_per_subdomain), device));
+            bp.problem, core::recommend_config(a, dim, bp.dofs_per_subdomain), device));
 
       std::vector<std::string> time_row{std::to_string(bp.dofs_per_subdomain)};
       std::vector<std::string> which_row{
@@ -51,8 +51,8 @@ int main() {
           }
         }
         time_row.push_back(Table::num(best, 3));
-        which_row.push_back(core::to_string(approaches[best_i]));
-        if (k >= 100 && core::is_explicit(approaches[best_i]))
+        which_row.push_back(approaches[best_i]);
+        if (k >= 100 && core::DualOperatorRegistry::instance().is_explicit(approaches[best_i]))
           best_switches_to_explicit = true;
       }
       table.add_row(time_row);

@@ -10,7 +10,7 @@ using namespace feti::bench;
 
 int main() {
   gpu::ExecutionContext& device = shared_context();
-  const auto approaches = core::all_approaches();
+  const auto approaches = core::DualOperatorRegistry::instance().families();
   const std::vector<int> iteration_grid = {1,   3,    10,   30,  100,
                                            300, 1000, 3000, 10000};
 
@@ -31,10 +31,10 @@ int main() {
                                       mesh::ElementOrder::Linear);
       std::vector<DualOpTiming> t;
       DualOpTiming ref;
-      for (core::Approach a : approaches) {
+      for (const std::string& a : approaches) {
         t.push_back(measure_dualop(
-            bp.problem, config_for(a, dim, bp.dofs_per_subdomain), device));
-        if (a == core::Approach::ImplMkl) ref = t.back();
+            bp.problem, core::recommend_config(a, dim, bp.dofs_per_subdomain), device));
+        if (a == "impl mkl") ref = t.back();
       }
       std::vector<std::string> row{std::to_string(bp.dofs_per_subdomain)};
       double first_amortized = -1.0;
@@ -51,7 +51,7 @@ int main() {
       // Amortization point: smallest k where some non-reference approach
       // with faster application beats impl mkl in total time.
       for (std::size_t i = 0; i < approaches.size(); ++i) {
-        if (approaches[i] == core::Approach::ImplMkl) continue;
+        if (approaches[i] == "impl mkl") continue;
         if (t[i].apply_ms < ref.apply_ms) {
           const double k = (t[i].preprocess_ms - ref.preprocess_ms) /
                            (ref.apply_ms - t[i].apply_ms);

@@ -53,7 +53,7 @@ decomp::FetiProblem checkerboard(idx cells, idx splits, double jump) {
 core::FetiStepResult solve(decomp::FetiProblem& p, const std::string& key,
                            gpu::ExecutionContext& ctx) {
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ExplMkl;
+  opts.dualop.key = "expl mkl";
   opts.pcpg.rel_tolerance = 1e-9;
   opts.pcpg.max_iterations = 5000;
   opts.pcpg.preconditioner = key;
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
     Timer step_timer;
     core::FetiSolverOptions opts;
-    opts.dualop.approach = core::Approach::ExplMkl;
+    opts.dualop.key = "expl mkl";
     opts.pcpg.rel_tolerance = 1e-9;
     opts.pcpg.max_iterations = 5000;
     opts.pcpg.preconditioner = key;

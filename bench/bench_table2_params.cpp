@@ -28,9 +28,7 @@ SweepResult sweep(decomp::FetiProblem& p, gpu::sparse::Api api,
   const auto storages = {FactorStorage::Sparse, FactorStorage::Dense};
   auto try_config = [&](const core::ExplicitGpuOptions& opt) {
     core::DualOpConfig cfg;
-    cfg.approach = api == gpu::sparse::Api::Legacy
-                       ? core::Approach::ExplLegacy
-                       : core::Approach::ExplModern;
+    cfg.key = api == gpu::sparse::Api::Legacy ? "expl legacy" : "expl modern";
     cfg.gpu = opt;
     const double ms =
         measure_dualop(p, cfg, dev, 2, 0.01).preprocess_ms;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/autotune.hpp"
+#include "core/dualop_registry.hpp"
 #include "core/feti_solver.hpp"
 #include "gpu/runtime.hpp"
 #include "util/table.hpp"
@@ -162,13 +163,6 @@ inline LatencySummary summarize_latencies(std::vector<double> seconds) {
   for (double v : seconds) total += v;
   s.mean = total / static_cast<double>(seconds.size());
   return s;
-}
-
-/// Table-II-tuned configuration for one approach; the API generation and
-/// the GPU parameter block follow from the approach's axis tuple.
-inline core::DualOpConfig config_for(core::Approach approach, int dim,
-                                     idx dofs) {
-  return core::recommend_config(core::axes_of(approach), dim, dofs);
 }
 
 /// Emits the standard harness footer: a PASS/DEVIATION line per shape check.

@@ -19,10 +19,10 @@ gpu::ExecutionContext& demo_context() {
 }
 
 double measure_preprocess(decomp::FetiProblem& problem,
-                          core::Approach approach,
+                          const char* key,
                           const core::ExplicitGpuOptions& gpu_opts) {
   core::DualOpConfig cfg;
-  cfg.approach = approach;
+  cfg.key = key;
   cfg.gpu = gpu_opts;
   auto op = core::make_dual_operator(problem, cfg, &demo_context());
   op->prepare();
@@ -62,9 +62,8 @@ int main() {
               problem.max_subdomain_dofs());
 
   for (auto api : {gpu::sparse::Api::Legacy, gpu::sparse::Api::Modern}) {
-    const auto approach = api == gpu::sparse::Api::Legacy
-                              ? core::Approach::ExplLegacy
-                              : core::Approach::ExplModern;
+    const char* key =
+        api == gpu::sparse::Api::Legacy ? "expl legacy" : "expl modern";
     core::ExplicitGpuOptions recommended =
         core::recommend_options(api, 3, problem.max_subdomain_dofs());
     core::ExplicitGpuOptions flipped = recommended;
@@ -72,8 +71,8 @@ int main() {
                               ? FactorStorage::Dense
                               : FactorStorage::Sparse;
     flipped.bwd_storage = flipped.fwd_storage;
-    const double t_rec = measure_preprocess(problem, approach, recommended);
-    const double t_flip = measure_preprocess(problem, approach, flipped);
+    const double t_rec = measure_preprocess(problem, key, recommended);
+    const double t_flip = measure_preprocess(problem, key, flipped);
     std::printf("  %s: recommended (%s) %.3f ms vs flipped (%s) %.3f ms%s\n",
                 gpu::sparse::to_string(api),
                 core::to_string(recommended.fwd_storage), t_rec * 1e3,

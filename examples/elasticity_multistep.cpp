@@ -30,9 +30,9 @@ int main() {
               problem.num_lambdas);
 
   core::FetiSolverOptions opts;
-  // Selection via the legacy Approach enum — kept working as a thin alias
-  // over the axis tuple / registry key ("expl legacy").
-  opts.dualop.approach = core::Approach::ExplLegacy;
+  // Selection by registry key: explicit assembly on the GPU, legacy
+  // sparse API.
+  opts.dualop.key = "expl legacy";
   opts.dualop.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2,
                                             problem.max_subdomain_dofs());
   opts.pcpg.rel_tolerance = 1e-8;

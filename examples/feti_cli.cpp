@@ -170,8 +170,7 @@ void pool_stats_dry_run(const decomp::FetiProblem& problem, int dim,
   // Estimated pooled-entry footprint per precision: the persistent F̃
   // blocks for explicit keys, the factor estimate for implicit ones.
   auto entry_bytes = [&](const core::DualOpConfig& cfg) {
-    if (!core::DualOperatorRegistry::instance().is_explicit(
-            cfg.resolved_key()))
+    if (!core::DualOperatorRegistry::instance().is_explicit(cfg.key))
       return service::estimate_solver_bytes(problem);
     return blocks * (cfg.axes().precision == core::Precision::F32
                          ? sizeof(float)
@@ -197,7 +196,7 @@ void pool_stats_dry_run(const decomp::FetiProblem& problem, int dim,
     const std::size_t bytes = entry_bytes(cfg);
     table.add_row({std::to_string(j),
                    job.key.empty() ? "(auto)" : job.key.c_str(),
-                   cfg.resolved_key(),
+                   cfg.key,
                    Table::num(static_cast<double>(bytes) / 1e3, 1),
                    Table::num(static_cast<double>(remaining) / 1e3, 1)});
     remaining -= std::min(bytes, remaining);

@@ -42,7 +42,7 @@ int main() {
   core::FetiSolverOptions opts;
   opts.dualop = core::recommend_config(axes, 2, problem.max_subdomain_dofs());
   opts.pcpg.rel_tolerance = 1e-9;
-  std::printf("dual operator: %s\n", opts.dualop.resolved_key().c_str());
+  std::printf("dual operator: %s\n", opts.dualop.key.c_str());
   std::printf("explicit assembly parameters: %s\n",
               opts.dualop.gpu.describe().c_str());
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/dualop_registry.hpp"
-
 namespace feti::core {
 
 ExplicitGpuOptions recommend_options(gpu::sparse::Api api, int dim,
@@ -127,28 +125,25 @@ DualOpConfig recommend_config(const ApproachAxes& axes, int dim,
   if (chosen.repr == Representation::Explicit && !chosen.sparsity &&
       prefer_sparsity(workload))
     chosen.sparsity = true;
+  // Multi-device topologies route every device-backed family (explicit,
+  // implicit, and hybrid all compose with " xN") to the largest sharded
+  // variant the topology can feed.
+  if (axes.device != ExecDevice::Cpu && topology.num_devices >= 2)
+    chosen.shards = shards;
   cfg.select(chosen);
   if (axes.device == ExecDevice::Cpu) return cfg;
   cfg.gpu = recommend_options(axes.api, dim, dofs_per_subdomain, nrhs_hint);
   if (topology.streams_per_device > 0)
     cfg.gpu.streams =
         gpu::ExecutionContext::clamp_streams(topology.streams_per_device);
-  // Multi-device topologies route every device-backed family (explicit,
-  // implicit, and hybrid all have registered sharded variants) to the
-  // largest sharded variant the topology can feed.
-  if (topology.num_devices >= 2)
-    cfg.key = chosen.key() + " x" + std::to_string(shards);
   return cfg;
 }
 
 DualOpConfig recommend_config(std::string_view key, int dim,
                               idx dofs_per_subdomain, int nrhs_hint,
                               const gpu::DeviceTopology& topology) {
-  const DualOperatorRegistry& registry = DualOperatorRegistry::instance();
-  const ApproachAxes axes =
-      registry.contains(key) ? registry.info(key).axes : parse_axes(key);
-  DualOpConfig cfg =
-      recommend_config(axes, dim, dofs_per_subdomain, nrhs_hint, topology);
+  DualOpConfig cfg = recommend_config(parse_axes(key), dim,
+                                      dofs_per_subdomain, nrhs_hint, topology);
   // The caller picked a concrete implementation; keep it selected even
   // where the topology remap would have chosen another variant.
   cfg.key = std::string(key);

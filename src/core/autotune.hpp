@@ -73,8 +73,8 @@ std::string recommend_preconditioner(const WorkloadHint& workload,
 /// keep the defaults (the explicit CPU paths have no Table-I knobs).
 ///
 /// `topology` is the device-topology hint: with num_devices >= 2 the
-/// explicit GPU axes resolve to the largest registered sharded variant
-/// ("expl legacy x2" / "x4") that the topology can feed, and a non-zero
+/// device-backed axes resolve to the largest sharded variant ("expl
+/// legacy x2" / "x4") that the topology can feed, and a non-zero
 /// streams_per_device overrides the worker-stream count (the paper uses
 /// one stream per OpenMP thread).
 ///
@@ -89,11 +89,8 @@ DualOpConfig recommend_config(const ApproachAxes& axes, int dim,
                               const gpu::DeviceTopology& topology = {},
                               const WorkloadHint& workload = {});
 
-/// Key-based overload: resolves the axes through the registry metadata
-/// (falling back to the Table-III key grammar for unregistered spellings)
-/// and keeps `key` itself selected. Use this when iterating registry keys:
-/// sharded variants share their axis tuple with the single-device base
-/// implementation, so the axes alone cannot round-trip the key.
+/// Key-based overload: recommends for parse_axes(key) and keeps `key`
+/// itself selected, whatever the topology would have chosen.
 DualOpConfig recommend_config(std::string_view key, int dim,
                               idx dofs_per_subdomain, int nrhs_hint = 1,
                               const gpu::DeviceTopology& topology = {});

@@ -1,6 +1,6 @@
 #include "core/config.hpp"
 
-#include <array>
+#include <charconv>
 #include <stdexcept>
 
 #include "util/common.hpp"
@@ -72,6 +72,10 @@ bool ApproachAxes::valid() const {
   // Sparsity-aware assembly restricts the RHS panel of the explicit
   // assembly solve; the implicit families never form that panel.
   if (sparsity && repr != Representation::Explicit) return false;
+  // Sharding partitions the subdomains across 2 or 4 virtual devices; the
+  // CPU families have no device to shard across.
+  if (shards != 1 && shards != 2 && shards != 4) return false;
+  if (shards != 1 && device == ExecDevice::Cpu) return false;
   switch (device) {
     case ExecDevice::Cpu:
       return true;  // any representation x backend pairing exists on the CPU
@@ -96,6 +100,7 @@ std::string ApproachAxes::key() const {
   }
   if (sparsity) out += " sp";
   if (precision == Precision::F32) out += " f32";
+  if (shards > 1) out += " x" + std::to_string(shards);
   return out;
 }
 
@@ -112,150 +117,61 @@ std::string ApproachAxes::describe() const {
   out += '/';
   out += to_string(precision);
   if (sparsity) out += "/sp";
+  if (shards > 1) out += "/x" + std::to_string(shards);
   return out;
 }
 
 ApproachAxes parse_axes(std::string_view key) {
   const std::string_view full_key = key;
-  // Optional trailing axis tokens: "<repr> <variant>[ sp][ f32]".
-  Precision precision = Precision::F64;
-  constexpr std::string_view f32_suffix = " f32";
-  if (key.size() > f32_suffix.size() &&
-      key.substr(key.size() - f32_suffix.size()) == f32_suffix) {
-    precision = Precision::F32;
-    key.remove_suffix(f32_suffix.size());
-  }
-  bool sparsity = false;
-  constexpr std::string_view sp_suffix = " sp";
-  if (key.size() > sp_suffix.size() &&
-      key.substr(key.size() - sp_suffix.size()) == sp_suffix) {
-    sparsity = true;
-    key.remove_suffix(sp_suffix.size());
-  }
-  const std::size_t space = key.find(' ');
-  if (space != std::string_view::npos) {
-    const std::string_view repr_tok = key.substr(0, space);
-    const std::string_view variant = key.substr(space + 1);
-    if (repr_tok == "impl" || repr_tok == "expl") {
-      ApproachAxes axes;
-      axes.precision = precision;
-      axes.sparsity = sparsity;
-      axes.repr = parse_representation(repr_tok);
-      if (variant == "mkl" || variant == "cholmod") {
-        axes.device = ExecDevice::Cpu;
-        axes.backend = variant == "mkl" ? sparse::Backend::Supernodal
-                                        : sparse::Backend::Simplicial;
-      } else if (variant == "legacy" || variant == "modern") {
-        axes.device = ExecDevice::Gpu;
-        axes.backend = sparse::Backend::Simplicial;
-        axes.api = gpu::sparse::parse_api(variant);
-      } else if (variant == "hybrid") {
-        axes.device = ExecDevice::Hybrid;
-        axes.backend = sparse::Backend::Supernodal;
-      } else {
-        throw std::invalid_argument(bad_token("parse_axes", full_key));
-      }
-      if (!axes.valid())
-        throw std::invalid_argument(bad_token("parse_axes", full_key));
-      return axes;
+  const auto fail = [&] {
+    throw std::invalid_argument(bad_token("parse_axes", full_key));
+  };
+  // "<repr> <variant>[ sp][ f32][ xN]": strip the optional suffixes from the
+  // back, then parse the family key. Non-canonical spellings ("x1", "x02",
+  // suffixes out of order) fail the final round-trip check.
+  ApproachAxes axes;
+  const auto strip = [&key](std::string_view suffix) {
+    if (key.size() <= suffix.size() || !key.ends_with(suffix)) return false;
+    key.remove_suffix(suffix.size());
+    return true;
+  };
+  const std::size_t x = key.rfind(" x");
+  if (x != std::string_view::npos) {
+    const std::string_view digits = key.substr(x + 2);
+    const char* const last = digits.data() + digits.size();
+    int shards = 0;
+    const auto [end, ec] = std::from_chars(digits.data(), last, shards);
+    if (ec == std::errc() && end == last) {
+      axes.shards = shards;
+      key = key.substr(0, x);
     }
   }
-  throw std::invalid_argument(bad_token("parse_axes", full_key));
-}
-
-// ---------------------------------------------------------------------------
-// Legacy Approach alias
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ApproachRow {
-  Approach approach;
-  ApproachAxes axes;
-};
-
-const std::array<ApproachRow, 9>& approach_table() {
-  using R = Representation;
-  using D = ExecDevice;
-  using B = sparse::Backend;
-  using A = gpu::sparse::Api;
-  static const std::array<ApproachRow, 9> table = {{
-      {Approach::ImplMkl, {R::Implicit, D::Cpu, B::Supernodal, A::Legacy}},
-      {Approach::ImplCholmod,
-       {R::Implicit, D::Cpu, B::Simplicial, A::Legacy}},
-      {Approach::ImplLegacy,
-       {R::Implicit, D::Gpu, B::Simplicial, A::Legacy}},
-      {Approach::ImplModern,
-       {R::Implicit, D::Gpu, B::Simplicial, A::Modern}},
-      {Approach::ExplMkl, {R::Explicit, D::Cpu, B::Supernodal, A::Legacy}},
-      {Approach::ExplCholmod,
-       {R::Explicit, D::Cpu, B::Simplicial, A::Legacy}},
-      {Approach::ExplLegacy,
-       {R::Explicit, D::Gpu, B::Simplicial, A::Legacy}},
-      {Approach::ExplModern,
-       {R::Explicit, D::Gpu, B::Simplicial, A::Modern}},
-      {Approach::ExplHybrid,
-       {R::Explicit, D::Hybrid, B::Supernodal, A::Legacy}},
-  }};
-  return table;
-}
-
-}  // namespace
-
-const char* to_string(Approach a) {
-  switch (a) {
-    case Approach::ImplMkl: return "impl mkl";
-    case Approach::ImplCholmod: return "impl cholmod";
-    case Approach::ImplLegacy: return "impl legacy";
-    case Approach::ImplModern: return "impl modern";
-    case Approach::ExplMkl: return "expl mkl";
-    case Approach::ExplCholmod: return "expl cholmod";
-    case Approach::ExplLegacy: return "expl legacy";
-    case Approach::ExplModern: return "expl modern";
-    case Approach::ExplHybrid: return "expl hybrid";
+  if (strip(" f32")) axes.precision = Precision::F32;
+  axes.sparsity = strip(" sp");
+  const std::size_t space = key.find(' ');
+  if (space == std::string_view::npos) fail();
+  const std::string_view repr_tok = key.substr(0, space);
+  const std::string_view variant = key.substr(space + 1);
+  if (repr_tok != "impl" && repr_tok != "expl") fail();
+  axes.repr = repr_tok == "impl" ? Representation::Implicit
+                                 : Representation::Explicit;
+  if (variant == "mkl" || variant == "cholmod") {
+    axes.device = ExecDevice::Cpu;
+    axes.backend = variant == "mkl" ? sparse::Backend::Supernodal
+                                    : sparse::Backend::Simplicial;
+  } else if (variant == "legacy" || variant == "modern") {
+    axes.device = ExecDevice::Gpu;
+    axes.backend = sparse::Backend::Simplicial;
+    axes.api = gpu::sparse::parse_api(variant);
+  } else if (variant == "hybrid") {
+    axes.device = ExecDevice::Hybrid;
+    axes.backend = sparse::Backend::Supernodal;
+  } else {
+    fail();
   }
-  return "?";
+  if (!axes.valid() || axes.key() != full_key) fail();
+  return axes;
 }
-
-std::vector<Approach> all_approaches() {
-  std::vector<Approach> out;
-  out.reserve(approach_table().size());
-  for (const auto& row : approach_table()) out.push_back(row.approach);
-  return out;
-}
-
-ApproachAxes axes_of(Approach a) {
-  for (const auto& row : approach_table())
-    if (row.approach == a) return row.axes;
-  throw std::invalid_argument("axes_of: unknown approach");
-}
-
-Approach approach_of(const ApproachAxes& axes) {
-  // The api axis only distinguishes implementations on the GPU; CPU and
-  // hybrid tuples ignore it (matching valid()/key()). The nine Table-III
-  // enumerators are all fp64 dense-RHS — fp32 and sparsity-aware tuples
-  // have no legacy alias.
-  const bool api_relevant = axes.device == ExecDevice::Gpu;
-  for (const auto& row : approach_table()) {
-    if (row.axes.repr == axes.repr && row.axes.device == axes.device &&
-        row.axes.backend == axes.backend &&
-        row.axes.precision == axes.precision &&
-        row.axes.sparsity == axes.sparsity &&
-        (!api_relevant || row.axes.api == axes.api))
-      return row.approach;
-  }
-  throw std::invalid_argument("approach_of: no legacy enumerator for axes " +
-                              axes.describe());
-}
-
-Approach parse_approach(std::string_view name) {
-  for (const auto& row : approach_table())
-    if (name == to_string(row.approach)) return row.approach;
-  throw std::invalid_argument(bad_token("parse_approach", name));
-}
-
-// uses_gpu / is_explicit live in dualop_registry.cpp: they are answered
-// from the registered implementation metadata.
 
 // ---------------------------------------------------------------------------
 // Explicit GPU assembly parameters
@@ -289,17 +205,5 @@ std::string ExplicitGpuOptions::describe() const {
   out += to_string(scatter_gather);
   return out;
 }
-
-// ---------------------------------------------------------------------------
-// DualOpConfig
-// ---------------------------------------------------------------------------
-
-std::string DualOpConfig::resolved_key() const {
-  return key.empty() ? axes_of(approach).key() : key;
-}
-
-// DualOpConfig::axes() lives in dualop_registry.cpp: registered keys
-// resolve through the registry metadata (so out-of-tree registrations
-// work), with parse_axes as the fallback for unregistered spellings.
 
 }  // namespace feti::core

@@ -6,7 +6,8 @@
 // The nine Table-III variants are not nine independent algorithms: they are
 // the valid points of a cross product of orthogonal choices. This header
 // models those choices as separate axes, bundled into an ApproachAxes
-// tuple that maps 1:1 onto the string keys of the DualOperatorRegistry:
+// tuple that maps 1:1 onto the string keys of the DualOperatorRegistry.
+// Four axes pick one of the nine operator families:
 //
 //   Representation  — implicit (F applied matrix-free) vs explicit (the
 //                     local dual operators F̃ᵢ are assembled up front);
@@ -18,13 +19,13 @@
 //                     paths);
 //   gpu::sparse::Api — legacy vs modern sparse API generation (GPU only).
 //
-// The legacy `Approach` enum survives as a thin compatibility alias: each
-// enumerator names one valid axis tuple, and everything downstream resolves
-// it through axes_of() / DualOpConfig::axes().
+// Three more compose with every family where valid(): sparsity-aware
+// assembly and fp32 F̃ storage (explicit only), and sharding across 2 or 4
+// virtual devices (device-backed only). parse_axes() and
+// ApproachAxes::key() are the only code that reads or spells a key.
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "gpu/sparse.hpp"
 #include "la/dense.hpp"
@@ -90,58 +91,27 @@ struct ApproachAxes {
   /// fraction. Valid only with Explicit (the implicit families never form
   /// an RHS panel).
   bool sparsity = false;
+  /// Number of virtual devices the subdomains are sharded across: 1, or
+  /// 2 or 4 when device != Cpu (one partial operator per shard).
+  int shards = 1;
 
   bool operator==(const ApproachAxes&) const = default;
 
   [[nodiscard]] bool valid() const;
-  /// The Table-III registry key, e.g. "impl mkl" or "expl legacy"; the
-  /// sparsity-aware variant appends " sp" ("expl legacy sp") and the F32
-  /// precision appends an " f32" suffix after it ("expl legacy sp f32").
+  /// The registry key, e.g. "impl mkl" or "expl legacy": the family key,
+  /// then " sp" for the sparsity-aware variant, " f32" for F32 precision
+  /// and " xN" for N shards, in that order ("expl legacy sp f32 x2").
   /// Requires valid().
   [[nodiscard]] std::string key() const;
   /// Human-readable axis dump, e.g. "explicit/gpu/simplicial/legacy".
   [[nodiscard]] std::string describe() const;
 };
 
-/// Parses a Table-III key ("expl legacy", "impl cholmod", "expl mkl f32",
-/// "expl legacy sp", "expl hybrid sp f32", ...) back into its axis tuple.
-/// Throws std::invalid_argument for unknown keys.
+/// Parses a registry key ("expl legacy", "impl cholmod", "expl mkl f32",
+/// "expl legacy sp", "expl hybrid sp f32 x4", ...) back into its axis
+/// tuple; parse_axes(k).key() == k for every accepted key. Throws
+/// std::invalid_argument for unknown or non-canonical spellings.
 ApproachAxes parse_axes(std::string_view key);
-
-// ---------------------------------------------------------------------------
-// Legacy Approach alias
-// ---------------------------------------------------------------------------
-
-/// The nine dual-operator approaches of Table III — kept as a compatibility
-/// alias over ApproachAxes. The "mkl" and "cholmod" names refer to the
-/// stand-in backends: supernodal (Schur-capable, no factor export — like
-/// MKL PARDISO) and simplicial (factor export — like CHOLMOD).
-enum class Approach {
-  ImplMkl,      ///< implicit, supernodal solver on CPU
-  ImplCholmod,  ///< implicit, simplicial solver on CPU
-  ImplLegacy,   ///< implicit on GPU, legacy sparse API, simplicial factors
-  ImplModern,   ///< implicit on GPU, modern sparse API, simplicial factors
-  ExplMkl,      ///< explicit via augmented Schur complement on CPU
-  ExplCholmod,  ///< explicit via factor extraction + TRSM on CPU
-  ExplLegacy,   ///< explicit assembly on GPU, legacy sparse API
-  ExplModern,   ///< explicit assembly on GPU, modern sparse API
-  ExplHybrid,   ///< assembly like ExplMkl on CPU, application on GPU
-};
-
-const char* to_string(Approach a);
-std::vector<Approach> all_approaches();
-
-/// The axis tuple an Approach enumerator is an alias for.
-[[nodiscard]] ApproachAxes axes_of(Approach a);
-/// Inverse of axes_of. Throws if the tuple has no legacy enumerator.
-[[nodiscard]] Approach approach_of(const ApproachAxes& axes);
-/// Parses a Table-III name ("expl legacy", ...). Throws on unknown names.
-[[nodiscard]] Approach parse_approach(std::string_view name);
-
-/// Capability queries — resolved from the DualOperatorRegistry metadata of
-/// the implementation the approach aliases (see dualop_registry.hpp).
-[[nodiscard]] bool uses_gpu(Approach a);
-[[nodiscard]] bool is_explicit(Approach a);
 
 // ---------------------------------------------------------------------------
 // Explicit GPU assembly parameters (Table I)
@@ -187,22 +157,17 @@ struct ExplicitGpuOptions {
 // ---------------------------------------------------------------------------
 
 struct DualOpConfig {
-  /// Legacy selector — consulted only while `key` is empty.
-  Approach approach = Approach::ImplMkl;
-  /// Registry key ("expl legacy", ...); when non-empty it overrides
-  /// `approach`, so new code can select implementations — including ones
-  /// with no legacy enumerator — by string or by axes via select().
-  std::string key;
+  /// Registry key of the implementation ("impl mkl", "expl legacy sp",
+  /// ...); set it directly or by axes via select().
+  std::string key = "impl mkl";
   ExplicitGpuOptions gpu;  ///< consumed by the Expl{Legacy,Modern} operators
   sparse::OrderingKind ordering = sparse::OrderingKind::MinimumDegree;
 
   /// Selects the implementation for an axis tuple (sets `key`).
   void select(const ApproachAxes& axes) { key = axes.key(); }
 
-  /// The registry key this config resolves to.
-  [[nodiscard]] std::string resolved_key() const;
-  /// The axis tuple this config resolves to.
-  [[nodiscard]] ApproachAxes axes() const;
+  /// The axis tuple `key` spells.
+  [[nodiscard]] ApproachAxes axes() const { return parse_axes(key); }
 };
 
 }  // namespace feti::core

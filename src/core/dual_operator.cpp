@@ -127,8 +127,8 @@ void DualOperator::primal_solution(
 std::unique_ptr<DualOperator> make_dual_operator(
     const decomp::FetiProblem& problem, const DualOpConfig& config,
     gpu::ExecutionContext* context) {
-  return DualOperatorRegistry::instance().create(config.resolved_key(),
-                                                 problem, config, context);
+  return DualOperatorRegistry::instance().create(config.key, problem, config,
+                                                 context);
 }
 
 }  // namespace feti::core

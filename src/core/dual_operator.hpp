@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -109,7 +110,10 @@ class DualOperator {
   /// device_context() != nullptr.
   void apply_device(const double* d_x, double* d_y, idx nrhs = 1);
 
-  [[nodiscard]] virtual const char* name() const = 0;
+  /// The registry key the operator was created under (set by
+  /// DualOperatorRegistry::create; empty for operators built directly,
+  /// such as the per-shard partial operators of an " xN" key).
+  [[nodiscard]] const char* name() const { return name_.c_str(); }
 
   /// x = K^+ b for one subdomain (valid after update_values()).
   virtual void kplus_solve(idx sub, const double* b, double* x) const = 0;
@@ -216,14 +220,17 @@ class DualOperator {
   AtomicCacheStats cache_stats_;
 
  private:
+  friend class DualOperatorRegistry;
+
   /// Per-operator change-detection state behind begin_update/end_update.
   ValueTracker tracker_;
+  std::string name_;
 };
 
-/// Creates the dual operator for the configured approach by resolving
-/// config.resolved_key() in the DualOperatorRegistry. `context` carries
-/// the execution resources (device, stream pool, workspace policy); it is
-/// required for the GPU-backed approaches and ignored otherwise.
+/// Creates the dual operator config.key names through the
+/// DualOperatorRegistry. `context` carries the execution resources (device,
+/// stream pool, workspace policy); it is required for the GPU-backed keys
+/// and ignored otherwise.
 std::unique_ptr<DualOperator> make_dual_operator(
     const decomp::FetiProblem& problem, const DualOpConfig& config,
     gpu::ExecutionContext* context = nullptr);

@@ -122,11 +122,6 @@ class ImplicitCpuDualOp final : public DualOperator {
     solvers_[sub]->solve(b, x);
   }
 
-  [[nodiscard]] const char* name() const override {
-    return backend_ == sparse::Backend::Supernodal ? "impl mkl"
-                                                   : "impl cholmod";
-  }
-
  protected:
   void apply_one(const double* x, double* y) override {
     const idx nsub = p_.num_subdomains();
@@ -356,12 +351,6 @@ class ExplicitCpuBaseT : public DualOperator {
       la::demote_triangle(la::Uplo::Upper, scratch.cview(), f_[s].view());
   }
 
-  /// " f32"-suffixed name for the float instantiation.
-  [[nodiscard]] static const char* precision_name(const char* f64_name,
-                                                  const char* f32_name) {
-    return std::is_same_v<T, float> ? f32_name : f64_name;
-  }
-
   std::vector<la::DenseMatrixT<T>> f_;
   std::vector<std::vector<T>> lam_, q_;
   std::vector<la::DenseMatrixT<T>> lam_blk_, q_blk_;
@@ -453,12 +442,6 @@ class ExplicitCpuSchurDualOp final : public ExplicitCpuBaseT<T> {
 
   void kplus_solve(idx sub, const double* b, double* x) const override {
     solvers_[sub]->solve(b, x);
-  }
-
-  [[nodiscard]] const char* name() const override {
-    return sparsity_
-               ? Base::precision_name("expl mkl sp", "expl mkl sp f32")
-               : Base::precision_name("expl mkl", "expl mkl f32");
   }
 
  private:
@@ -564,12 +547,6 @@ class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
     solvers_[sub]->solve(b, x);
   }
 
-  [[nodiscard]] const char* name() const override {
-    return sparsity_ ? Base::precision_name("expl cholmod sp",
-                                            "expl cholmod sp f32")
-                     : Base::precision_name("expl cholmod", "expl cholmod f32");
-  }
-
  private:
   sparse::OrderingKind ordering_;
   bool sparsity_;
@@ -607,61 +584,37 @@ std::unique_ptr<DualOperator> make_explicit_cpu_trsm(
 }
 
 void register_cpu_dual_operators(DualOperatorRegistry& registry) {
-  using R = Representation;
-  using D = ExecDevice;
-  using B = sparse::Backend;
-  const auto axes = [](R r, B b, Precision prec = Precision::F64,
-                       bool sp = false) {
-    ApproachAxes a;
-    a.repr = r;
-    a.device = D::Cpu;
-    a.backend = b;
-    a.precision = prec;
-    a.sparsity = sp;
-    return a;
-  };
+  // The explicit families compose with the " sp" and " f32" axes; the
+  // factories read both off the parsed key. CPU families never shard, so
+  // `owned` is always empty.
   registry.add(
-      {"impl mkl", axes(R::Implicit, B::Supernodal),
+      {"impl mkl", parse_axes("impl mkl"),
        "implicit application, supernodal (PARDISO-like) solver on the CPU"},
-      [](const decomp::FetiProblem& p, const DualOpConfig& c, gpu::ExecutionContext*) {
-        return make_implicit_cpu(p, B::Supernodal, c.ordering);
+      [](const decomp::FetiProblem& p, const DualOpConfig& c,
+         const ApproachAxes&, gpu::ExecutionContext*, std::vector<idx>) {
+        return make_implicit_cpu(p, sparse::Backend::Supernodal, c.ordering);
       });
   registry.add(
-      {"impl cholmod", axes(R::Implicit, B::Simplicial),
+      {"impl cholmod", parse_axes("impl cholmod"),
        "implicit application, simplicial (CHOLMOD-like) solver on the CPU"},
-      [](const decomp::FetiProblem& p, const DualOpConfig& c, gpu::ExecutionContext*) {
-        return make_implicit_cpu(p, B::Simplicial, c.ordering);
+      [](const decomp::FetiProblem& p, const DualOpConfig& c,
+         const ApproachAxes&, gpu::ExecutionContext*, std::vector<idx>) {
+        return make_implicit_cpu(p, sparse::Backend::Simplicial, c.ordering);
       });
-  for (bool sp : {false, true}) {
-    const char* sp_suffix = sp ? " sp" : "";
-    const char* restrict_note =
-        sp ? ", boundary-restricted RHS panel" : "";
-    for (Precision prec : {Precision::F64, Precision::F32}) {
-      const char* suffix = prec == Precision::F32 ? " f32" : "";
-      const char* storage =
-          prec == Precision::F32 ? ", fp32 storage + fp64 accumulation" : "";
-      registry.add(
-          {std::string("expl mkl") + sp_suffix + suffix,
-           axes(R::Explicit, B::Supernodal, prec, sp),
-           std::string("explicit F̃ via the augmented Schur complement on "
-                       "the CPU") +
-               restrict_note + storage},
-          [prec, sp](const decomp::FetiProblem& p, const DualOpConfig& c,
-                     gpu::ExecutionContext*) {
-            return make_explicit_cpu_schur(p, c.ordering, prec, sp);
-          });
-      registry.add(
-          {std::string("expl cholmod") + sp_suffix + suffix,
-           axes(R::Explicit, B::Simplicial, prec, sp),
-           std::string("explicit F̃ via factor extraction + dense TRSM on "
-                       "the CPU") +
-               restrict_note + storage},
-          [prec, sp](const decomp::FetiProblem& p, const DualOpConfig& c,
-                     gpu::ExecutionContext*) {
-            return make_explicit_cpu_trsm(p, c.ordering, prec, sp);
-          });
-    }
-  }
+  registry.add(
+      {"expl mkl", parse_axes("expl mkl"),
+       "explicit F̃ via the augmented Schur complement on the CPU"},
+      [](const decomp::FetiProblem& p, const DualOpConfig& c,
+         const ApproachAxes& a, gpu::ExecutionContext*, std::vector<idx>) {
+        return make_explicit_cpu_schur(p, c.ordering, a.precision, a.sparsity);
+      });
+  registry.add(
+      {"expl cholmod", parse_axes("expl cholmod"),
+       "explicit F̃ via factor extraction + dense TRSM on the CPU"},
+      [](const decomp::FetiProblem& p, const DualOpConfig& c,
+         const ApproachAxes& a, gpu::ExecutionContext*, std::vector<idx>) {
+        return make_explicit_cpu_trsm(p, c.ordering, a.precision, a.sparsity);
+      });
 }
 
 }  // namespace feti::core

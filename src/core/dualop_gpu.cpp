@@ -786,17 +786,6 @@ class ExplicitGpuDualOpT final : public DualOperator {
     solvers_[sub]->solve(b, x);
   }
 
-  [[nodiscard]] const char* name() const override {
-    const bool legacy = api_ == gpu::sparse::Api::Legacy;
-    if constexpr (std::is_same_v<T, float>) {
-      if (sparsity_) return legacy ? "expl legacy sp f32" : "expl modern sp f32";
-      return legacy ? "expl legacy f32" : "expl modern f32";
-    } else {
-      if (sparsity_) return legacy ? "expl legacy sp" : "expl modern sp";
-      return legacy ? "expl legacy" : "expl modern";
-    }
-  }
-
   /// Bytes of device memory held by the F̃ᵢ matrices (packing ablation and
   /// the fp32-vs-fp64 storage comparison).
   [[nodiscard]] std::size_t f_storage_bytes() const {
@@ -1205,10 +1194,6 @@ class ImplicitGpuDualOp final : public DualOperator {
     solvers_[sub]->solve(b, x);
   }
 
-  [[nodiscard]] const char* name() const override {
-    return api_ == gpu::sparse::Api::Legacy ? "impl legacy" : "impl modern";
-  }
-
  private:
   /// Grow-only wide-RHS solve plans and temporary panels. Valid only after
   /// update_values() (the plans are seeded from the current numeric
@@ -1437,13 +1422,6 @@ class HybridDualOpT final : public DualOperator {
     solvers_[sub]->solve(b, x);
   }
 
-  [[nodiscard]] const char* name() const override {
-    if constexpr (std::is_same_v<T, float>)
-      return sparsity_ ? "expl hybrid sp f32" : "expl hybrid f32";
-    else
-      return sparsity_ ? "expl hybrid sp" : "expl hybrid";
-  }
-
   [[nodiscard]] std::size_t apply_bytes() const override {
     std::size_t total = 0;
     for (const auto& f : f_dev_) total += f.bytes();
@@ -1480,13 +1458,10 @@ using HybridDualOp = HybridDualOpT<double>;
 /// the cluster-wide dual result is the sum of the per-shard results.
 class ShardedDualOp final : public DualOperator {
  public:
-  using InnerFactory = std::function<std::unique_ptr<DualOperator>(
-      gpu::ExecutionContext&, std::vector<idx>)>;
-
-  ShardedDualOp(const decomp::FetiProblem& p, std::string key,
+  ShardedDualOp(const decomp::FetiProblem& p,
                 std::unique_ptr<gpu::DevicePool> pool,
-                const InnerFactory& make_inner)
-      : DualOperator(p), key_(std::move(key)), pool_(std::move(pool)) {
+                const ShardFactory& make_inner)
+      : DualOperator(p), pool_(std::move(pool)) {
     const idx nsub = p.num_subdomains();
     inner_.reserve(pool_->size());
     for (std::size_t shard = 0; shard < pool_->size(); ++shard) {
@@ -1529,8 +1504,6 @@ class ShardedDualOp final : public DualOperator {
   void kplus_solve(idx sub, const double* b, double* x) const override {
     inner_[pool_->shard_of(sub)]->kplus_solve(sub, b, x);
   }
-
-  [[nodiscard]] const char* name() const override { return key_.c_str(); }
 
   /// A shard that served a batch through the base-class loop counts here:
   /// the wrapper forwards whole batches, so its own counter stays 0 and
@@ -1670,7 +1643,6 @@ class ShardedDualOp final : public DualOperator {
       if (e) std::rethrow_exception(e);
   }
 
-  std::string key_;
   // pool_ outlives inner_ (members destroy in reverse declaration order):
   // the partial operators hold references into the pool's contexts.
   std::unique_ptr<gpu::DevicePool> pool_;
@@ -1716,150 +1688,55 @@ std::unique_ptr<DualOperator> make_hybrid(const decomp::FetiProblem& p,
                                         std::move(owned), sparsity);
 }
 
+std::unique_ptr<DualOperator> make_sharded(const decomp::FetiProblem& p,
+                                           int shards,
+                                           gpu::ExecutionContext& context,
+                                           const ShardFactory& make_shard) {
+  auto pool = std::make_unique<gpu::DevicePool>(
+      shards, gpu::DevicePool::split_config(context.device().config(), shards));
+  return std::make_unique<ShardedDualOp>(p, std::move(pool), make_shard);
+}
+
 void register_gpu_dual_operators(DualOperatorRegistry& registry) {
-  using R = Representation;
-  using D = ExecDevice;
-  using B = sparse::Backend;
-  using A = gpu::sparse::Api;
-  const auto gpu_axes = [](R r, A api, Precision prec = Precision::F64,
-                           bool sp = false) {
-    ApproachAxes a;
-    a.repr = r;
-    a.device = D::Gpu;
-    a.backend = B::Simplicial;
-    a.api = api;
-    a.precision = prec;
-    a.sparsity = sp;
-    return a;
-  };
-
-  // Per-shard factory: builds the partial operator of one shard over its
-  // owned subdomain subset. Invoked synchronously inside the ShardedDualOp
-  // constructor, so `p` and `c` (borrowed from the registry factory call)
-  // outlive every use.
-  using ShardInner = std::function<std::unique_ptr<DualOperator>(
-      const decomp::FetiProblem&, const DualOpConfig&, gpu::ExecutionContext&,
-      std::vector<idx>)>;
-
-  // Registers "<base> x2" and "<base> x4": subdomains partitioned across N
-  // virtual devices derived from the supplied context's budget, one partial
-  // operator per shard.
-  const auto add_sharded = [&registry](const std::string& base,
-                                       const ApproachAxes& axes,
-                                       const std::string& what,
-                                       ShardInner inner) {
-    for (int shards : {2, 4}) {
-      const std::string key = base + " x" + std::to_string(shards);
-      registry.add(
-          {key, axes,
-           what + " sharded across " + std::to_string(shards) +
-               " virtual GPUs"},
-          [shards, key, inner](const decomp::FetiProblem& p,
-                               const DualOpConfig& c,
-                               gpu::ExecutionContext* ctx) {
-            auto pool = std::make_unique<gpu::DevicePool>(
-                shards,
-                gpu::DevicePool::split_config(ctx->device().config(), shards));
-            return std::make_unique<ShardedDualOp>(
-                p, key, std::move(pool),
-                [&p, &c, &inner](gpu::ExecutionContext& shard_ctx,
-                                 std::vector<idx> owned) {
-                  return inner(p, c, shard_ctx, std::move(owned));
-                });
-          });
-    }
-  };
-
-  for (A api : {A::Legacy, A::Modern}) {
-    const char* apiname = gpu::sparse::to_string(api);
+  // The factories read the sparse API generation (and, for the explicit
+  // families, sparsity and precision) off the parsed key; the registry
+  // shards every family here for " xN".
+  for (const char* key : {"impl legacy", "impl modern"}) {
+    const ApproachAxes axes = parse_axes(key);
     registry.add(
-        {std::string("impl ") + apiname, gpu_axes(R::Implicit, api),
-         std::string("implicit application on the GPU, ") + apiname +
+        {key, axes,
+         std::string("implicit application on the GPU, ") +
+             gpu::sparse::to_string(axes.api) +
              " sparse API, simplicial factors"},
-        [api](const decomp::FetiProblem& p, const DualOpConfig& c,
-              gpu::ExecutionContext* ctx) {
-          return make_implicit_gpu(p, api, c.ordering, *ctx, c.gpu.streams);
+        [](const decomp::FetiProblem& p, const DualOpConfig& c,
+           const ApproachAxes& a, gpu::ExecutionContext* ctx,
+           std::vector<idx> owned) {
+          return make_implicit_gpu(p, a.api, c.ordering, *ctx, c.gpu.streams,
+                                   std::move(owned));
         });
-    add_sharded(std::string("impl ") + apiname, gpu_axes(R::Implicit, api),
-                std::string("implicit application, ") + apiname +
-                    " sparse API,",
-                [api](const decomp::FetiProblem& p, const DualOpConfig& c,
-                      gpu::ExecutionContext& shard_ctx,
-                      std::vector<idx> owned) {
-                  return make_implicit_gpu(p, api, c.ordering, shard_ctx,
-                                           c.gpu.streams, std::move(owned));
-                });
-    for (bool sp : {false, true}) {
-      const char* spsuffix = sp ? " sp" : "";
-      const char* spnote = sp ? ", boundary-restricted RHS panel" : "";
-      for (Precision prec : {Precision::F64, Precision::F32}) {
-        const char* suffix = prec == Precision::F32 ? " f32" : "";
-        const char* storage = prec == Precision::F32
-                                  ? " (fp32 storage + fp64 accumulation)"
-                                  : "";
-        registry.add(
-            {std::string("expl ") + apiname + spsuffix + suffix,
-             gpu_axes(R::Explicit, api, prec, sp),
-             std::string("explicit F̃ assembled on the GPU, ") + apiname +
-                 " sparse API" + spnote + storage},
-            [api, prec, sp](const decomp::FetiProblem& p,
-                            const DualOpConfig& c,
-                            gpu::ExecutionContext* ctx) {
-              return make_explicit_gpu(p, api, c.gpu, c.ordering, *ctx, {},
-                                       prec, sp);
-            });
-        add_sharded(std::string("expl ") + apiname + spsuffix + suffix,
-                    gpu_axes(R::Explicit, api, prec, sp),
-                    std::string("explicit F̃ assembly, ") + apiname +
-                        " sparse API," + spnote + storage,
-                    [api, prec, sp](const decomp::FetiProblem& p,
-                                    const DualOpConfig& c,
-                                    gpu::ExecutionContext& shard_ctx,
-                                    std::vector<idx> owned) {
-                      return make_explicit_gpu(p, api, c.gpu, c.ordering,
-                                               shard_ctx, std::move(owned),
-                                               prec, sp);
-                    });
-      }
-    }
   }
-
-  for (bool sp : {false, true}) {
-    const char* spsuffix = sp ? " sp" : "";
-    const char* spnote = sp ? ", boundary-restricted Schur panel" : "";
-    for (Precision prec : {Precision::F64, Precision::F32}) {
-      const char* suffix = prec == Precision::F32 ? " f32" : "";
-      const char* storage = prec == Precision::F32
-                                ? " (fp32 storage + fp64 accumulation)"
-                                : "";
-      ApproachAxes hybrid;
-      hybrid.repr = R::Explicit;
-      hybrid.device = D::Hybrid;
-      hybrid.backend = B::Supernodal;
-      hybrid.precision = prec;
-      hybrid.sparsity = sp;
-      registry.add(
-          {std::string("expl hybrid") + spsuffix + suffix, hybrid,
-           std::string("explicit F̃ assembled on the CPU (Schur path), "
-                       "applied on the GPU") +
-               spnote + storage},
-          [prec, sp](const decomp::FetiProblem& p, const DualOpConfig& c,
-                     gpu::ExecutionContext* ctx) {
-            return make_hybrid(p, c.gpu, c.ordering, *ctx, {}, prec, sp);
-          });
-      add_sharded(std::string("expl hybrid") + spsuffix + suffix, hybrid,
-                  std::string("explicit F̃ assembled on the CPU, applied on "
-                              "the GPU,") +
-                      spnote + storage,
-                  [prec, sp](const decomp::FetiProblem& p,
-                             const DualOpConfig& c,
-                             gpu::ExecutionContext& shard_ctx,
-                             std::vector<idx> owned) {
-                    return make_hybrid(p, c.gpu, c.ordering, shard_ctx,
-                                       std::move(owned), prec, sp);
-                  });
-    }
+  for (const char* key : {"expl legacy", "expl modern"}) {
+    const ApproachAxes axes = parse_axes(key);
+    registry.add(
+        {key, axes,
+         std::string("explicit F̃ assembled on the GPU, ") +
+             gpu::sparse::to_string(axes.api) + " sparse API"},
+        [](const decomp::FetiProblem& p, const DualOpConfig& c,
+           const ApproachAxes& a, gpu::ExecutionContext* ctx,
+           std::vector<idx> owned) {
+          return make_explicit_gpu(p, a.api, c.gpu, c.ordering, *ctx,
+                                   std::move(owned), a.precision, a.sparsity);
+        });
   }
+  registry.add(
+      {"expl hybrid", parse_axes("expl hybrid"),
+       "explicit F̃ assembled on the CPU (Schur path), applied on the GPU"},
+      [](const decomp::FetiProblem& p, const DualOpConfig& c,
+         const ApproachAxes& a, gpu::ExecutionContext* ctx,
+         std::vector<idx> owned) {
+        return make_hybrid(p, c.gpu, c.ordering, *ctx, std::move(owned),
+                           a.precision, a.sparsity);
+      });
 }
 
 }  // namespace feti::core

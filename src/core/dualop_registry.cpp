@@ -8,11 +8,23 @@
 
 namespace feti::core {
 
+namespace {
+
+/// The family tuple a key composes from: its composed axes at defaults.
+ApproachAxes family_of(ApproachAxes axes) {
+  axes.sparsity = false;
+  axes.precision = Precision::F64;
+  axes.shards = 1;
+  return axes;
+}
+
+}  // namespace
+
 DualOperatorRegistry& DualOperatorRegistry::instance() {
   static DualOperatorRegistry registry;
   static std::once_flag builtin_once;
   std::call_once(builtin_once, [] {
-    // One registration call per implementation family; the calls live next
+    // One registration call per implementation file; the calls live next
     // to the implementations themselves (dualop_cpu.cpp / dualop_gpu.cpp).
     register_cpu_dual_operators(registry);
     register_gpu_dual_operators(registry);
@@ -22,118 +34,129 @@ DualOperatorRegistry& DualOperatorRegistry::instance() {
 
 void DualOperatorRegistry::add(DualOperatorInfo info,
                                DualOperatorFactory factory) {
-  // The key is the registry identity; the axes are capability metadata and
-  // need not reproduce the key's spelling (out-of-tree registrations like
-  // "expl legacy x2" share an axis tuple with a built-in).
-  check(!info.key.empty(), "DualOperatorRegistry::add: empty key");
-  check(info.axes.valid(),
-        "DualOperatorRegistry::add: invalid axes for key '" + info.key + "'");
+  check(info.axes.valid() && info.axes == family_of(info.axes) &&
+            info.key == info.axes.key(),
+        "DualOperatorRegistry::add: '" + info.key +
+            "' is not the family key of its axes");
   check(static_cast<bool>(factory),
         "DualOperatorRegistry::add: null factory for key '" + info.key + "'");
   std::lock_guard<std::mutex> lock(mutex_);
-  check(find_locked(info.key) == nullptr,
-        "DualOperatorRegistry::add: duplicate key '" + info.key + "'");
-  entries_.push_back({std::move(info), std::move(factory)});
+  check(find_locked(info.axes) == nullptr,
+        "DualOperatorRegistry::add: duplicate family '" + info.key + "'");
+  families_.push_back({std::move(info), std::move(factory)});
 }
 
 const DualOperatorRegistry::Entry* DualOperatorRegistry::find_locked(
-    std::string_view key) const {
-  for (const Entry& e : entries_)
-    if (e.info.key == key) return &e;
+    const ApproachAxes& axes) const {
+  const ApproachAxes family = family_of(axes);
+  for (const Entry& e : families_)
+    if (e.info.axes == family) return &e;
   return nullptr;
 }
 
-DualOperatorRegistry::Entry DualOperatorRegistry::at(
+std::optional<DualOperatorRegistry::Resolved> DualOperatorRegistry::lookup(
     std::string_view key) const {
+  ApproachAxes axes;
+  try {
+    axes = parse_axes(key);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* e = find_locked(key);
-  check(e != nullptr, "DualOperatorRegistry: unknown dual-operator key '" +
-                          std::string(key) + "'");
-  return *e;
+  const Entry* e = find_locked(axes);
+  if (e == nullptr) return std::nullopt;
+  return Resolved{axes, *e};
 }
 
-bool DualOperatorRegistry::contains(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_locked(key) != nullptr;
+DualOperatorRegistry::Resolved DualOperatorRegistry::at(
+    std::string_view key) const {
+  std::optional<Resolved> r = lookup(key);
+  check(r.has_value(), "DualOperatorRegistry: unknown dual-operator key '" +
+                           std::string(key) + "'");
+  return std::move(*r);
 }
 
-DualOperatorInfo DualOperatorRegistry::info(std::string_view key) const {
-  // Metadata-only read: avoid copying the factory std::function that
-  // at() duplicates for create().
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* e = find_locked(key);
-  check(e != nullptr, "DualOperatorRegistry: unknown dual-operator key '" +
-                          std::string(key) + "'");
-  return e->info;
-}
-
-std::vector<std::string> DualOperatorRegistry::keys() const {
+std::vector<std::string> DualOperatorRegistry::families() const {
   std::vector<std::string> out;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(entries_.size());
-    for (const Entry& e : entries_) out.push_back(e.info.key);
+    out.reserve(families_.size());
+    for (const Entry& e : families_) out.push_back(e.info.key);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::size_t DualOperatorRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+std::vector<std::string> DualOperatorRegistry::keys() const {
+  std::vector<std::string> out;
+  for (const std::string& family : families()) {
+    ApproachAxes axes = parse_axes(family);
+    for (bool sparsity : {false, true})
+      for (Precision precision : {Precision::F64, Precision::F32})
+        for (int shards : {1, 2, 4}) {
+          axes.sparsity = sparsity;
+          axes.precision = precision;
+          axes.shards = shards;
+          if (axes.valid()) out.push_back(axes.key());
+        }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::size_t DualOperatorRegistry::size() const { return keys().size(); }
+
+bool DualOperatorRegistry::contains(std::string_view key) const {
+  return lookup(key).has_value();
+}
+
+DualOperatorInfo DualOperatorRegistry::info(std::string_view key) const {
+  const Resolved r = at(key);
+  DualOperatorInfo out{std::string(key), r.axes, r.family.info.summary};
+  if (r.axes.sparsity) out.summary += ", boundary-restricted panel";
+  if (r.axes.precision == Precision::F32)
+    out.summary += ", fp32 storage + fp64 accumulation";
+  if (r.axes.shards > 1)
+    out.summary += ", sharded across " + std::to_string(r.axes.shards) +
+                   " virtual GPUs";
+  return out;
 }
 
 bool DualOperatorRegistry::uses_gpu(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* e = find_locked(key);
-  check(e != nullptr, "DualOperatorRegistry: unknown dual-operator key '" +
-                          std::string(key) + "'");
-  return e->info.requires_device();
+  return at(key).axes.device != ExecDevice::Cpu;
 }
 
 bool DualOperatorRegistry::is_explicit(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* e = find_locked(key);
-  check(e != nullptr, "DualOperatorRegistry: unknown dual-operator key '" +
-                          std::string(key) + "'");
-  return e->info.axes.repr == Representation::Explicit;
+  return at(key).axes.repr == Representation::Explicit;
 }
 
 bool DualOperatorRegistry::available(std::string_view key,
                                      const gpu::ExecutionContext* context) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* e = find_locked(key);
-  return e != nullptr && (!e->info.requires_device() || context != nullptr);
+  const std::optional<Resolved> r = lookup(key);
+  return r.has_value() &&
+         (r->axes.device == ExecDevice::Cpu || context != nullptr);
 }
 
 std::unique_ptr<DualOperator> DualOperatorRegistry::create(
     std::string_view key, const decomp::FetiProblem& problem,
     const DualOpConfig& config, gpu::ExecutionContext* context) const {
-  // Copy the entry out so the factory runs without holding the lock.
-  const Entry e = at(key);
-  check(!e.info.requires_device() || context != nullptr,
+  // The family entry is a copy, so the factory runs without the lock.
+  const Resolved r = at(key);
+  check(r.axes.device == ExecDevice::Cpu || context != nullptr,
         "DualOperatorRegistry::create: '" + std::string(key) +
             "' requires a GPU execution context");
-  return e.factory(problem, config, context);
-}
-
-ApproachAxes DualOpConfig::axes() const {
-  if (key.empty()) return axes_of(approach);
-  // Registered keys — including out-of-tree registrations whose spelling
-  // the built-in grammar does not know — resolve through their metadata.
-  const DualOperatorRegistry& registry = DualOperatorRegistry::instance();
-  if (registry.contains(key)) return registry.info(key).axes;
-  return parse_axes(key);
-}
-
-// Legacy capability queries — answered from the registered metadata.
-
-bool uses_gpu(Approach a) {
-  return DualOperatorRegistry::instance().uses_gpu(axes_of(a).key());
-}
-
-bool is_explicit(Approach a) {
-  return DualOperatorRegistry::instance().is_explicit(axes_of(a).key());
+  std::unique_ptr<DualOperator> op;
+  if (r.axes.shards == 1) {
+    op = r.family.factory(problem, config, r.axes, context, {});
+  } else {
+    op = make_sharded(problem, r.axes.shards, *context,
+                      [&](gpu::ExecutionContext& shard, std::vector<idx> owned) {
+                        return r.family.factory(problem, config, r.axes,
+                                                &shard, std::move(owned));
+                      });
+  }
+  op->name_ = std::string(key);
+  return op;
 }
 
 }  // namespace feti::core

@@ -2,18 +2,21 @@
 
 // String-keyed registry of dual-operator implementations.
 //
-// Each implementation family registers one factory per Table-III key
-// together with its axis metadata (see register_cpu_dual_operators /
-// register_gpu_dual_operators in dualop_cpu.cpp / dualop_gpu.cpp). All
-// construction and every capability query (uses_gpu, is_explicit,
-// availability) is answered from this metadata, so adding a backend or a
-// whole new family is one registration call — no switch to extend, no call
-// site to touch.
+// The registry stores the nine Table-III operator *families* ("impl mkl"
+// … "expl hybrid"), each registered once with its factory and axis
+// metadata (see register_cpu_dual_operators / register_gpu_dual_operators
+// in dualop_cpu.cpp / dualop_gpu.cpp). Every selectable key is composed
+// from a family by the key grammar of config.hpp
+// (`<family>[ sp][ f32][ xN]`): the registry parses the key, hands the
+// family factory the parsed axes, and wraps device-backed families in the
+// sharded multi-device operator for " xN". All construction and every
+// capability query (uses_gpu, is_explicit, availability) is answered from
+// the parsed axes and the family metadata, and every operator is named
+// after the key it was created under.
 //
-// The key grammar (`<representation> <backend-or-api>[ xN]`) and the
-// lifecycle contract every registered operator must honor —
+// The lifecycle contract every registered operator must honor —
 // prepare() once per pattern, update_values() per step with dirty-subdomain
-// tracking, apply()/apply(X, Y, nrhs) per iteration — are documented in
+// tracking, apply()/apply(X, Y, nrhs) per iteration — is documented in
 // docs/ARCHITECTURE.md. In short, a factory must return an operator that:
 //  * is constructed cheaply (no factorization, no device allocation; those
 //    belong to prepare());
@@ -28,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,20 +49,23 @@ namespace feti::core {
 
 class DualOperator;
 
-/// Metadata registered alongside each factory.
+/// Metadata of one key: registered with each family (key = family key),
+/// composed by info() for every selectable key.
 struct DualOperatorInfo {
-  std::string key;      ///< Table-III name, e.g. "expl legacy"
-  ApproachAxes axes;    ///< the axis tuple the implementation realizes
+  std::string key;      ///< registry key, e.g. "expl legacy sp x2"
+  ApproachAxes axes;    ///< parse_axes(key)
   std::string summary;  ///< one-line description for listings
-  [[nodiscard]] bool requires_device() const {
-    return axes.device != ExecDevice::Cpu;
-  }
 };
 
-/// Factories receive the execution resources explicitly: the context is
-/// required for GPU-backed implementations and ignored by CPU ones.
+/// A family factory builds the family's operator for the parsed axes of
+/// the requested key (sparsity and precision select the variant) over the
+/// `owned` subdomain subset, where empty means "all subdomains". The
+/// execution context is required for device-backed families and null for
+/// CPU ones; only device-backed families are handed a non-empty subset
+/// (one call per shard of an " xN" key).
 using DualOperatorFactory = std::function<std::unique_ptr<DualOperator>(
-    const decomp::FetiProblem&, const DualOpConfig&, gpu::ExecutionContext*)>;
+    const decomp::FetiProblem&, const DualOpConfig&, const ApproachAxes&,
+    gpu::ExecutionContext*, std::vector<idx> owned)>;
 
 class DualOperatorRegistry {
  public:
@@ -66,19 +73,30 @@ class DualOperatorRegistry {
   /// first use.
   static DualOperatorRegistry& instance();
 
-  /// Registers a factory under info.key. Throws std::invalid_argument on a
-  /// duplicate key or an invalid axis tuple.
+  /// Registers an operator family under its family key (info.key, e.g.
+  /// "expl legacy", with info.axes == parse_axes(info.key)). Throws
+  /// std::invalid_argument on a duplicate family, a key that is not a
+  /// family key (" sp"/" f32"/" xN" variants are composed, not
+  /// registered), or axes that do not match the key.
   void add(DualOperatorInfo info, DualOperatorFactory factory);
 
-  [[nodiscard]] bool contains(std::string_view key) const;
-  /// Metadata lookup (copy — the registry may grow concurrently); throws
-  /// std::invalid_argument for unknown keys.
-  [[nodiscard]] DualOperatorInfo info(std::string_view key) const;
-  /// All registered keys, sorted.
+  /// The registered family keys, sorted.
+  [[nodiscard]] std::vector<std::string> families() const;
+  /// Every selectable key — each family × {dense, " sp"} × {f64, " f32"} ×
+  /// {1, " x2", " x4"}, filtered by ApproachAxes::valid() — sorted.
   [[nodiscard]] std::vector<std::string> keys() const;
+  /// keys().size().
   [[nodiscard]] std::size_t size() const;
 
-  // -- capability queries (metadata-derived) --
+  /// Whether `key` parses and its family is registered.
+  [[nodiscard]] bool contains(std::string_view key) const;
+  /// Metadata of `key`, with the summary composed as `<family summary>[,
+  /// boundary-restricted panel][, fp32 storage + fp64 accumulation][,
+  /// sharded across N virtual GPUs]`. Throws std::invalid_argument for
+  /// unknown keys.
+  [[nodiscard]] DualOperatorInfo info(std::string_view key) const;
+
+  // -- capability queries (axis-derived; throw for unknown keys) --
 
   [[nodiscard]] bool uses_gpu(std::string_view key) const;
   [[nodiscard]] bool is_explicit(std::string_view key) const;
@@ -87,7 +105,7 @@ class DualOperatorRegistry {
   [[nodiscard]] bool available(std::string_view key,
                                const gpu::ExecutionContext* context) const;
 
-  /// Constructs the implementation registered under `key`. Throws
+  /// Constructs the implementation `key` names, with name() == key. Throws
   /// std::invalid_argument for unknown keys and when the implementation
   /// requires an execution context but none is supplied. The returned
   /// operator is unprepared: call prepare() once, then update_values()
@@ -102,15 +120,23 @@ class DualOperatorRegistry {
     DualOperatorInfo info;
     DualOperatorFactory factory;
   };
+  /// A parsed key and a copy of its family's entry.
+  struct Resolved {
+    ApproachAxes axes;
+    Entry family;
+  };
   /// Requires mutex_ held.
-  const Entry* find_locked(std::string_view key) const;
-  /// Copies the entry out under mutex_; throws for unknown keys.
-  Entry at(std::string_view key) const;
+  const Entry* find_locked(const ApproachAxes& axes) const;
+  /// Parses `key` and copies its family out under mutex_; nullopt when the
+  /// key does not parse or its family is not registered.
+  std::optional<Resolved> lookup(std::string_view key) const;
+  /// lookup() that throws std::invalid_argument for unknown keys.
+  Resolved at(std::string_view key) const;
 
   /// add() is a public extension point, so lookups and registrations may
-  /// race; entries_ is guarded throughout.
+  /// race; families_ is guarded throughout.
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  std::vector<Entry> families_;
 };
 
 }  // namespace feti::core

@@ -87,62 +87,74 @@ SpTrsmPlan::SpTrsmPlan(Device& dev, Stream& s, Api api,
   check(host_upper.nrows() == host_upper.ncols(),
         "SpTrsmPlan: factor must be square");
 
-  // The modern API always normalizes to its internal (lower CSR) format;
-  // legacy uses the caller-provided orientation directly.
-  const bool want_lower =
-      api_ == Api::Modern || factor_order_ == la::Layout::RowMajor;
+  // Host sources of the transposed-structure uploads; declared outside the
+  // try block so they outlive the stream drain on the failure path.
+  std::vector<idx> rowptr, colidx, srcidx;
+  try {
+    // The modern API always normalizes to its internal (lower CSR) format;
+    // legacy uses the caller-provided orientation directly.
+    const bool want_lower =
+        api_ == Api::Modern || factor_order_ == la::Layout::RowMajor;
 
-  auto track = [&](std::size_t bytes) { persistent_bytes_ += bytes; };
+    auto track = [&](std::size_t bytes) { persistent_bytes_ += bytes; };
 
-  factor_.nrows = n_;
-  factor_.ncols = n_;
-  factor_.nnz = nnz_;
-  if (want_lower) {
-    // Build the transposed structure (CSR of L) and the value permutation;
-    // values are routed through a staging buffer every refresh. The extra
-    // buffers model the "additional memory with the size around the size of
-    // the factor" the paper reports for the non-native factor order.
-    std::vector<idx> rowptr, colidx, srcidx;
-    transpose_structure(host_upper, rowptr, colidx, srcidx);
-    factor_.rowptr = dev.alloc_n<idx>(rowptr.size());
-    factor_.colidx = dev.alloc_n<idx>(std::max<std::size_t>(1, colidx.size()));
-    factor_.vals = dev.alloc_n<double>(std::max<idx>(1, nnz_));
-    s.memcpy_h2d(factor_.rowptr, rowptr.data(), rowptr.size() * sizeof(idx));
-    if (nnz_ > 0)
-      s.memcpy_h2d(factor_.colidx, colidx.data(), colidx.size() * sizeof(idx));
-    valperm_ = upload_array(dev, s, srcidx);
-    staging_ = dev.alloc_n<double>(std::max<idx>(1, nnz_));
-    track(sizeof(idx) * (rowptr.size() + 2 * colidx.size()) +
-          sizeof(double) * 2 * static_cast<std::size_t>(nnz_));
-    // The copies above read these block-local host buffers; wait for them
-    // before the buffers go out of scope.
+    factor_.nrows = n_;
+    factor_.ncols = n_;
+    factor_.nnz = nnz_;
+    if (want_lower) {
+      // Build the transposed structure (CSR of L) and the value
+      // permutation; values are routed through a staging buffer every
+      // refresh. The extra buffers model the "additional memory with the
+      // size around the size of the factor" the paper reports for the
+      // non-native factor order.
+      transpose_structure(host_upper, rowptr, colidx, srcidx);
+      factor_.rowptr = dev.alloc_n<idx>(rowptr.size());
+      factor_.colidx =
+          dev.alloc_n<idx>(std::max<std::size_t>(1, colidx.size()));
+      factor_.vals = dev.alloc_n<double>(std::max<idx>(1, nnz_));
+      s.memcpy_h2d(factor_.rowptr, rowptr.data(),
+                   rowptr.size() * sizeof(idx));
+      if (nnz_ > 0)
+        s.memcpy_h2d(factor_.colidx, colidx.data(),
+                     colidx.size() * sizeof(idx));
+      valperm_ = upload_array(dev, s, srcidx);
+      staging_ = dev.alloc_n<double>(std::max<idx>(1, nnz_));
+      track(sizeof(idx) * (rowptr.size() + 2 * colidx.size()) +
+            sizeof(double) * 2 * static_cast<std::size_t>(nnz_));
+    } else {
+      factor_.rowptr = dev.alloc_n<idx>(static_cast<std::size_t>(n_) + 1);
+      factor_.colidx = dev.alloc_n<idx>(std::max<idx>(1, nnz_));
+      factor_.vals = dev.alloc_n<double>(std::max<idx>(1, nnz_));
+      s.memcpy_h2d(factor_.rowptr, host_upper.rowptr().data(),
+                   (static_cast<std::size_t>(n_) + 1) * sizeof(idx));
+      if (nnz_ > 0)
+        s.memcpy_h2d(factor_.colidx, host_upper.colidx().data(),
+                     static_cast<std::size_t>(nnz_) * sizeof(idx));
+      track(sizeof(idx) * (static_cast<std::size_t>(n_) + 1 + nnz_) +
+            sizeof(double) * static_cast<std::size_t>(nnz_));
+    }
+
+    if (api_ == Api::Modern) {
+      // Persistent dense RHS workspace — the large buffer the paper calls
+      // out.
+      modern_work_ = dev.alloc_n<double>(
+          std::max<widx>(1, static_cast<widx>(n_) * max_cols_));
+      track(sizeof(double) * static_cast<std::size_t>(n_) * max_cols_);
+    }
+
+    levels_ = compute_levels(host_upper, /*stored_lower=*/false);
+    update_values(s, host_upper);
+    // The analysis phase is synchronous (as in cuSPARSE): the structure
+    // uploads above read from constructor-local host buffers, which must
+    // stay alive until the copies complete.
     s.synchronize();
-  } else {
-    factor_.rowptr = dev.alloc_n<idx>(static_cast<std::size_t>(n_) + 1);
-    factor_.colidx = dev.alloc_n<idx>(std::max<idx>(1, nnz_));
-    factor_.vals = dev.alloc_n<double>(std::max<idx>(1, nnz_));
-    s.memcpy_h2d(factor_.rowptr, host_upper.rowptr().data(),
-                 (static_cast<std::size_t>(n_) + 1) * sizeof(idx));
-    if (nnz_ > 0)
-      s.memcpy_h2d(factor_.colidx, host_upper.colidx().data(),
-                   static_cast<std::size_t>(nnz_) * sizeof(idx));
-    track(sizeof(idx) * (static_cast<std::size_t>(n_) + 1 + nnz_) +
-          sizeof(double) * static_cast<std::size_t>(nnz_));
+  } catch (...) {
+    // A throwing constructor never runs the destructor: drain the uploads
+    // still targeting the buffers allocated so far, then free them.
+    s.synchronize();
+    release();
+    throw;
   }
-
-  if (api_ == Api::Modern) {
-    // Persistent dense RHS workspace — the large buffer the paper calls out.
-    modern_work_ = dev.alloc_n<double>(
-        std::max<widx>(1, static_cast<widx>(n_) * max_cols_));
-    track(sizeof(double) * static_cast<std::size_t>(n_) * max_cols_);
-  }
-
-  levels_ = compute_levels(host_upper, /*stored_lower=*/false);
-  update_values(s, host_upper);
-  // The analysis phase is synchronous (as in cuSPARSE): the structure
-  // uploads above read from constructor-local host buffers, which must stay
-  // alive until the copies complete.
-  s.synchronize();
 }
 
 void SpTrsmPlan::release() {

@@ -5,7 +5,7 @@
 namespace feti::service {
 
 std::uint64_t job_fingerprint(const decomp::FetiProblem& problem,
-                              std::string_view resolved_key,
+                              std::string_view key,
                               std::string_view precond_key) {
   // The problem *instance* is the identity: a pooled operator holds
   // references into the problem's CSR storage, so content-identical but
@@ -16,7 +16,7 @@ std::uint64_t job_fingerprint(const decomp::FetiProblem& problem,
   h = decomp::fnv1a_word(h, static_cast<std::uint64_t>(problem.num_lambdas));
   h = decomp::fnv1a_word(h,
                          static_cast<std::uint64_t>(problem.num_subdomains()));
-  for (char c : resolved_key)
+  for (char c : key)
     h = decomp::fnv1a_word(h, static_cast<unsigned char>(c));
   // A separator keeps ("expl a", "b") and ("expl ab", "") distinct; an
   // empty preconditioner key hashes as its normalized spelling so legacy

@@ -74,7 +74,7 @@ struct JobResult : core::FetiStepResult {
 /// FetiSolver would otherwise tear down and rebuild its preconditioner on
 /// every alternating checkout.
 [[nodiscard]] std::uint64_t job_fingerprint(const decomp::FetiProblem& problem,
-                                            std::string_view resolved_key,
+                                            std::string_view key,
                                             std::string_view precond_key = "");
 
 }  // namespace feti::service

@@ -90,7 +90,7 @@ std::string SolverService::plan_key(const SolveJob& job) const {
   gpu::DeviceTopology per_shard{1, 0};
   return plan_config(job, options_.autotune_dim, per_shard,
                      pool_.remaining_budget(), options_.pool_budget_bytes)
-      .resolved_key();
+      .key;
 }
 
 std::future<JobResult> SolverService::submit(SolveJob job) {
@@ -111,7 +111,7 @@ std::vector<std::future<JobResult>> SolverService::submit(
                            gpu::DeviceTopology{1, 0}, pool_.remaining_budget(),
                            options_.pool_budget_bytes);
     p.fingerprint =
-        job_fingerprint(*job.problem, p.config.resolved_key(),
+        job_fingerprint(*job.problem, p.config.key,
                         precond::normalize_key(job.pcpg.preconditioner));
     if (!job.dual_rhs.empty())
       check(job.dual_rhs.size() ==
@@ -226,7 +226,7 @@ void SolverService::solve_wave(std::vector<PendingJob> wave) {
       r.job_id = wave[j].id;
       r.tenant = wave[j].job.tenant;
       r.fingerprint = fingerprint;
-      r.key = config.resolved_key();
+      r.key = config.key;
       r.shard = checkout.shard;
       r.wave_size = static_cast<int>(wave.size());
       r.pool_hit = checkout.hit;

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/autotune.hpp"
+#include "core/dualop_registry.hpp"
 #include "core/feti_solver.hpp"
 #include "test_helpers.hpp"
 
@@ -98,21 +99,21 @@ TEST(Projector, InitialLambdaSatisfiesCoarseConstraint) {
 // ---------------------------------------------------------------------------
 
 class ApproachParam
-    : public ::testing::TestWithParam<std::tuple<Approach, int, Physics>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, Physics>> {};
 
 TEST_P(ApproachParam, DualOperatorMatchesImplicitReference) {
-  const auto [approach, dim, physics] = GetParam();
+  const auto [key, dim, physics] = GetParam();
   FetiProblem p = make_problem({physics, dim, ElementOrder::Linear},
                                dim == 2 ? 6 : 4, 2);
 
   DualOpConfig ref_cfg;
-  ref_cfg.approach = Approach::ImplMkl;
+  ref_cfg.key = "impl mkl";
   auto ref_op = make_dual_operator(p, ref_cfg, &test_context());
   ref_op->prepare();
   ref_op->update_values();
 
   DualOpConfig cfg;
-  cfg.approach = approach;
+  cfg.key = key;
   cfg.gpu = recommend_options(gpu::sparse::Api::Legacy, dim,
                               p.max_subdomain_dofs());
   auto op = make_dual_operator(p, cfg, &test_context());
@@ -129,7 +130,7 @@ TEST_P(ApproachParam, DualOperatorMatchesImplicitReference) {
   for (double v : y_ref) scale = std::max(scale, std::fabs(v));
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(y[i], y_ref[i], 1e-8 * std::max(1.0, scale))
-        << "entry " << i << " approach " << to_string(approach);
+        << "entry " << i << " key " << key;
 
   // d must agree as well (exercises kplus_solve).
   std::vector<double> d_ref(x.size()), d(x.size());
@@ -142,19 +143,16 @@ TEST_P(ApproachParam, DualOperatorMatchesImplicitReference) {
 INSTANTIATE_TEST_SUITE_P(
     AllApproaches, ApproachParam,
     ::testing::Combine(
-        ::testing::Values(Approach::ImplMkl, Approach::ImplCholmod,
-                          Approach::ImplLegacy, Approach::ImplModern,
-                          Approach::ExplMkl, Approach::ExplCholmod,
-                          Approach::ExplLegacy, Approach::ExplModern,
-                          Approach::ExplHybrid),
+        ::testing::Values("impl mkl", "impl cholmod", "impl legacy",
+                          "impl modern", "expl mkl", "expl cholmod",
+                          "expl legacy", "expl modern", "expl hybrid"),
         ::testing::Values(2, 3),
         ::testing::Values(Physics::HeatTransfer)));
 
 INSTANTIATE_TEST_SUITE_P(
     ElasticityApproaches, ApproachParam,
-    ::testing::Combine(::testing::Values(Approach::ImplMkl, Approach::ExplMkl,
-                                         Approach::ExplLegacy,
-                                         Approach::ExplHybrid),
+    ::testing::Combine(::testing::Values("impl mkl", "expl mkl",
+                                         "expl legacy", "expl hybrid"),
                        ::testing::Values(2, 3),
                        ::testing::Values(Physics::LinearElasticity)));
 
@@ -170,15 +168,13 @@ TEST_P(GpuParamSweep, ExplicitAssemblyMatchesReference) {
       make_problem({Physics::HeatTransfer, 2, ElementOrder::Linear}, 6, 2);
 
   DualOpConfig ref_cfg;
-  ref_cfg.approach = Approach::ImplCholmod;
+  ref_cfg.key = "impl cholmod";
   auto ref_op = make_dual_operator(p, ref_cfg, nullptr);
   ref_op->prepare();
   ref_op->update_values();
 
   DualOpConfig cfg;
-  cfg.approach =
-      api == gpu::sparse::Api::Legacy ? Approach::ExplLegacy
-                                      : Approach::ExplModern;
+  cfg.key = api == gpu::sparse::Api::Legacy ? "expl legacy" : "expl modern";
   cfg.gpu.path = path;
   cfg.gpu.fwd_storage = fwd_st;
   cfg.gpu.bwd_storage = bwd_st;
@@ -219,16 +215,16 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 class SolveParam : public ::testing::TestWithParam<
-                       std::tuple<Approach, ProblemSpec>> {};
+                       std::tuple<std::string, ProblemSpec>> {};
 
 TEST_P(SolveParam, MatchesMonolithicSolve) {
-  const auto [approach, spec] = GetParam();
+  const auto [key, spec] = GetParam();
   const idx cells = spec.dim == 2 ? 6 : 4;
   FetiProblem p = make_problem(spec, cells, 2);
   std::vector<double> u_ref = reference_solution(spec, cells);
 
   FetiSolverOptions opts;
-  opts.dualop.approach = approach;
+  opts.dualop.key = key;
   opts.dualop.gpu =
       recommend_options(gpu::sparse::Api::Legacy, spec.dim, 1000);
   opts.pcpg.rel_tolerance = 1e-10;
@@ -250,31 +246,31 @@ TEST_P(SolveParam, MatchesMonolithicSolve) {
 INSTANTIATE_TEST_SUITE_P(
     Solves, SolveParam,
     ::testing::Values(
-        std::tuple{Approach::ImplMkl,
+        std::tuple{"impl mkl",
                    ProblemSpec{Physics::HeatTransfer, 2,
                                ElementOrder::Linear}},
-        std::tuple{Approach::ImplCholmod,
+        std::tuple{"impl cholmod",
                    ProblemSpec{Physics::HeatTransfer, 2,
                                ElementOrder::Quadratic}},
-        std::tuple{Approach::ExplMkl,
+        std::tuple{"expl mkl",
                    ProblemSpec{Physics::HeatTransfer, 3,
                                ElementOrder::Linear}},
-        std::tuple{Approach::ExplLegacy,
+        std::tuple{"expl legacy",
                    ProblemSpec{Physics::HeatTransfer, 2,
                                ElementOrder::Linear}},
-        std::tuple{Approach::ExplModern,
+        std::tuple{"expl modern",
                    ProblemSpec{Physics::HeatTransfer, 3,
                                ElementOrder::Linear}},
-        std::tuple{Approach::ExplHybrid,
+        std::tuple{"expl hybrid",
                    ProblemSpec{Physics::LinearElasticity, 2,
                                ElementOrder::Linear}},
-        std::tuple{Approach::ImplLegacy,
+        std::tuple{"impl legacy",
                    ProblemSpec{Physics::LinearElasticity, 2,
                                ElementOrder::Quadratic}},
-        std::tuple{Approach::ExplLegacy,
+        std::tuple{"expl legacy",
                    ProblemSpec{Physics::LinearElasticity, 3,
                                ElementOrder::Linear}},
-        std::tuple{Approach::ExplCholmod,
+        std::tuple{"expl cholmod",
                    ProblemSpec{Physics::HeatTransfer, 2,
                                ElementOrder::Quadratic}}));
 
@@ -284,7 +280,7 @@ TEST(Pcpg, LumpedPreconditionerReducesIterations) {
   ProblemSpec spec{Physics::LinearElasticity, 2, ElementOrder::Linear};
   FetiProblem p = make_problem(spec, 12, 3);
   FetiSolverOptions opts;
-  opts.dualop.approach = Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   opts.pcpg.rel_tolerance = 1e-9;
 
   FetiSolver plain(p, opts, nullptr);
@@ -306,7 +302,7 @@ TEST(MultiStep, RepeatedStepsWithChangingValues) {
   ProblemSpec spec{Physics::HeatTransfer, 2, ElementOrder::Linear};
   decomp::FetiProblem p = make_problem(spec, 6, 2);
   FetiSolverOptions opts;
-  opts.dualop.approach = Approach::ExplLegacy;
+  opts.dualop.key = "expl legacy";
   opts.dualop.gpu = recommend_options(gpu::sparse::Api::Legacy, 2, 1000);
   opts.pcpg.rel_tolerance = 1e-10;
   FetiSolver solver(p, opts, &test_context());
@@ -330,7 +326,7 @@ TEST(MultiStep, NonUniformValueChangeIsPickedUp) {
   ProblemSpec spec{Physics::HeatTransfer, 2, ElementOrder::Linear};
   decomp::FetiProblem p = make_problem(spec, 6, 2);
   FetiSolverOptions opts;
-  opts.dualop.approach = Approach::ExplMkl;
+  opts.dualop.key = "expl mkl";
   opts.pcpg.rel_tolerance = 1e-11;
   FetiSolver solver(p, opts, nullptr);
   solver.prepare();
@@ -375,13 +371,14 @@ TEST(Autotune, MatchesTableTwo) {
 }
 
 TEST(Config, NamesAreDistinctAndStable) {
-  EXPECT_STREQ(to_string(Approach::ImplMkl), "impl mkl");
-  EXPECT_STREQ(to_string(Approach::ExplHybrid), "expl hybrid");
-  EXPECT_EQ(all_approaches().size(), 9u);
-  EXPECT_TRUE(uses_gpu(Approach::ExplLegacy));
-  EXPECT_FALSE(uses_gpu(Approach::ExplMkl));
-  EXPECT_TRUE(is_explicit(Approach::ExplHybrid));
-  EXPECT_FALSE(is_explicit(Approach::ImplModern));
+  const DualOperatorRegistry& registry = DualOperatorRegistry::instance();
+  EXPECT_TRUE(registry.contains("impl mkl"));
+  EXPECT_TRUE(registry.contains("expl hybrid"));
+  EXPECT_EQ(registry.families().size(), 9u);
+  EXPECT_TRUE(registry.uses_gpu("expl legacy"));
+  EXPECT_FALSE(registry.uses_gpu("expl mkl"));
+  EXPECT_TRUE(registry.is_explicit("expl hybrid"));
+  EXPECT_FALSE(registry.is_explicit("impl modern"));
   ExplicitGpuOptions opt;
   EXPECT_FALSE(opt.describe().empty());
 }
@@ -390,7 +387,7 @@ TEST(Factory, GpuApproachWithoutDeviceThrows) {
   FetiProblem p = make_problem({Physics::HeatTransfer, 2,
                                 ElementOrder::Linear});
   DualOpConfig cfg;
-  cfg.approach = Approach::ExplLegacy;
+  cfg.key = "expl legacy";
   EXPECT_THROW(make_dual_operator(p, cfg, nullptr), std::invalid_argument);
 }
 

@@ -43,7 +43,7 @@ TEST(SymmetricPack, ApplyMatchesUnpacked) {
 
   auto run = [&](bool pack) {
     core::DualOpConfig cfg;
-    cfg.approach = core::Approach::ExplLegacy;
+    cfg.key = "expl legacy";
     cfg.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2, 1000);
     cfg.gpu.symmetric_pack = pack;
     auto op = core::make_dual_operator(p, cfg, &dev);
@@ -69,7 +69,7 @@ TEST(SymmetricPack, ReducesDeviceMemory) {
   auto measure = [&](bool pack) {
     gpu::ExecutionContext dev(quiet_config());
     core::DualOpConfig cfg;
-    cfg.approach = core::Approach::ExplLegacy;
+    cfg.key = "expl legacy";
     cfg.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2, 1000);
     cfg.gpu.symmetric_pack = pack;
     auto op = core::make_dual_operator(p, cfg, &dev);
@@ -87,7 +87,7 @@ TEST(SymmetricPack, EndToEndSolveStaysCorrect) {
   decomp::FetiProblem p = heat2d_problem(6, 2);
   gpu::ExecutionContext dev(quiet_config());
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ExplLegacy;
+  opts.dualop.key = "expl legacy";
   opts.dualop.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2, 500);
   opts.dualop.gpu.symmetric_pack = true;
   opts.pcpg.rel_tolerance = 1e-10;
@@ -109,7 +109,7 @@ TEST(SymmetricPack, IgnoredForTrsmPath) {
   decomp::FetiProblem p = heat2d_problem(6, 2);
   gpu::ExecutionContext dev(quiet_config());
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ExplLegacy;
+  cfg.key = "expl legacy";
   cfg.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2, 500);
   cfg.gpu.path = core::Path::Trsm;
   cfg.gpu.symmetric_pack = true;
@@ -118,7 +118,7 @@ TEST(SymmetricPack, IgnoredForTrsmPath) {
   op->update_values();
 
   core::DualOpConfig ref_cfg;
-  ref_cfg.approach = core::Approach::ImplCholmod;
+  ref_cfg.key = "impl cholmod";
   auto ref = core::make_dual_operator(p, ref_cfg, nullptr);
   ref->prepare();
   ref->update_values();
@@ -236,7 +236,7 @@ TEST(Potrf, RejectsIndefiniteMatrix) {
 TEST(Orderings, RcmEndToEndSolveMatchesReference) {
   decomp::FetiProblem p = heat2d_problem(6, 2);
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ExplMkl;
+  opts.dualop.key = "expl mkl";
   opts.dualop.ordering = sparse::OrderingKind::RCM;
   opts.pcpg.rel_tolerance = 1e-10;
   core::FetiSolver solver(p, opts, nullptr);
@@ -253,7 +253,7 @@ TEST(Orderings, RcmEndToEndSolveMatchesReference) {
 TEST(Pcpg, ReportsNonConvergenceHonestly) {
   decomp::FetiProblem p = heat2d_problem(10, 2);
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   opts.pcpg.rel_tolerance = 1e-14;
   opts.pcpg.max_iterations = 2;  // far too few
   core::FetiSolver solver(p, opts, nullptr);
@@ -267,7 +267,7 @@ TEST(Pcpg, ReportsNonConvergenceHonestly) {
 TEST(FetiSolver, SolveBeforePrepareThrows) {
   decomp::FetiProblem p = heat2d_problem(4, 2);
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   core::FetiSolver solver(p, opts, nullptr);
   EXPECT_THROW(solver.solve_step(), std::invalid_argument);
 }
@@ -275,7 +275,7 @@ TEST(FetiSolver, SolveBeforePrepareThrows) {
 TEST(Timings, DualOperatorPhasesAreRecorded) {
   decomp::FetiProblem p = heat2d_problem(6, 2);
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   core::FetiSolver solver(p, opts, nullptr);
   solver.prepare();
   auto res = solver.solve_step();
@@ -290,7 +290,7 @@ TEST(StreamsOption, SingleStreamExplicitGpuStillCorrect) {
   decomp::FetiProblem p = heat2d_problem(6, 2);
   gpu::ExecutionContext dev(quiet_config());
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ExplLegacy;
+  cfg.key = "expl legacy";
   cfg.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2, 500);
   cfg.gpu.streams = 1;
   auto op = core::make_dual_operator(p, cfg, &dev);
@@ -298,7 +298,7 @@ TEST(StreamsOption, SingleStreamExplicitGpuStillCorrect) {
   op->update_values();
 
   core::DualOpConfig ref_cfg;
-  ref_cfg.approach = core::Approach::ImplMkl;
+  ref_cfg.key = "impl mkl";
   auto ref = core::make_dual_operator(p, ref_cfg, nullptr);
   ref->prepare();
   ref->update_values();

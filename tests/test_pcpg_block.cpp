@@ -54,7 +54,6 @@ class ReflectionOp final : public core::DualOperator {
   void prepare() override {}
   void update_values() override {}
   void kplus_solve(idx, const double*, double*) const override {}
-  [[nodiscard]] const char* name() const override { return "reflection"; }
 
  protected:
   void apply_one(const double* x, double* y) override {
@@ -205,7 +204,7 @@ TEST(PcpgZeroRhs, TinyScaledRhsFinalizesAtLambda0) {
     for (auto& v : fs.sys.f) v *= 1e-300;
 
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ImplMkl;
+  cfg.key = "impl mkl";
   auto op = core::make_dual_operator(p, cfg);
   op->prepare();
   op->update_values();
@@ -229,7 +228,7 @@ TEST(PcpgZeroRhs, ExactZeroStillFinalizes) {
   for (auto& fs : p.sub)
     for (auto& v : fs.sys.f) v = 0.0;
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ImplMkl;
+  cfg.key = "impl mkl";
   auto op = core::make_dual_operator(p, cfg);
   op->prepare();
   op->update_values();
@@ -248,7 +247,7 @@ TEST(PcpgZeroRhs, ExactZeroStillFinalizes) {
 TEST(PcpgDrainTail, SurvivorMatchesSoloSolveBitwise) {
   decomp::FetiProblem p = heat2d_problem(8, 2);
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ImplMkl;
+  cfg.key = "impl mkl";
   auto op = core::make_dual_operator(p, cfg);
   op->prepare();
   op->update_values();
@@ -358,7 +357,7 @@ TEST(PcpgBlock, AgreesWithLockstepAndSoloAcrossOperators) {
 
 core::FetiSolverOptions recycling_options() {
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ExplMkl;
+  opts.dualop.key = "expl mkl";
   opts.pcpg.rel_tolerance = 1e-10;
   opts.pcpg.block.enabled = true;
   opts.pcpg.block.recycle = true;

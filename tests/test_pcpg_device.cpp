@@ -251,7 +251,7 @@ TEST(PcpgDevice, OnRequiresDeviceContexts) {
 
   // Host-only operator: On throws, Auto silently runs the host backend.
   core::DualOpConfig cpu_cfg;
-  cpu_cfg.approach = core::Approach::ImplMkl;
+  cpu_cfg.key = "impl mkl";
   auto cpu_op = core::make_dual_operator(p, cpu_cfg);
   cpu_op->prepare();
   cpu_op->update_values();

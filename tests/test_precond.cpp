@@ -127,7 +127,7 @@ TEST(PrecondRegistry, KeyMetadataAndNormalization) {
 TEST(PrecondRegistry, FetiStepResultReportsTheServingKey) {
   FetiProblem p = heat2d_problem();
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   opts.pcpg.preconditioner = "lumped  multiplicity";  // unnormalized spelling
   core::FetiSolver solver(p, opts, nullptr);
   solver.prepare();
@@ -316,7 +316,7 @@ TEST(Heterogeneous, DirichletStiffnessReducesIterationsOnCheckerboard) {
   FetiProblem p = checkerboard_problem(12, 3, 1e4);
   auto iterations = [&](const std::string& key) {
     core::FetiSolverOptions opts;
-    opts.dualop.approach = core::Approach::ImplMkl;
+    opts.dualop.key = "impl mkl";
     opts.pcpg.rel_tolerance = 1e-9;
     opts.pcpg.max_iterations = 2000;
     opts.pcpg.preconditioner = key;
@@ -361,7 +361,7 @@ TEST(PrecondLifecycle, DirtyTrackingRefreshesOnlyMarkedSubdomains) {
   // scales M̃ (lumped form of the scaled subdomain) by the same factor —
   // verified indirectly by solving and matching the unpreconditioned result.
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   opts.pcpg.preconditioner = "dirichlet";
   core::FetiSolver solver(p, opts, nullptr);
   solver.prepare();
@@ -371,7 +371,7 @@ TEST(PrecondLifecycle, DirtyTrackingRefreshesOnlyMarkedSubdomains) {
 TEST(PrecondLifecycle, SolverRebuildsPreconditionerOnKeyChange) {
   FetiProblem p = heat2d_problem();
   core::FetiSolverOptions opts;
-  opts.dualop.approach = core::Approach::ImplMkl;
+  opts.dualop.key = "impl mkl";
   opts.pcpg.preconditioner = "none";
   core::FetiSolver solver(p, opts, nullptr);
   solver.prepare();
@@ -392,7 +392,7 @@ TEST(PrecondLifecycle, SolverRebuildsPreconditionerOnKeyChange) {
 TEST(PrecondLifecycle, PcpgOwnedFallbackRejectsGpuKeys) {
   FetiProblem p = heat2d_problem();
   core::DualOpConfig cfg;
-  cfg.approach = core::Approach::ImplMkl;
+  cfg.key = "impl mkl";
   auto op = core::make_dual_operator(p, cfg, nullptr);
   op->prepare();
   op->update_values();

@@ -125,11 +125,14 @@ TEST(MemoryLimits, ModernPersistentBuffersLimitProblemSize) {
   {
     gpu::Device dev(cfg);
     gpu::Stream s = dev.create_stream();
+    const std::size_t before = dev.memory_used();
     EXPECT_THROW(gpu::sparse::SpTrsmPlan(
                      dev, s, gpu::sparse::Api::Modern, u,
                      la::Layout::ColMajor, true, la::Layout::RowMajor,
                      wide_rhs),
                  std::bad_alloc);
+    // The failed construction frees the buffers it had already allocated.
+    EXPECT_EQ(dev.memory_used(), before);
   }
 }
 
@@ -143,7 +146,7 @@ TEST(MemoryLimits, ExplicitGpuOperatorReportsExhaustionCleanly) {
   cfg.memory_bytes = 64 << 10;  // absurdly small device
   gpu::ExecutionContext dev(cfg);
   core::DualOpConfig c;
-  c.approach = core::Approach::ExplLegacy;
+  c.key = "expl legacy";
   c.gpu = core::recommend_options(gpu::sparse::Api::Legacy, 2, 500);
   auto op = core::make_dual_operator(p, c, &dev);
   EXPECT_THROW(op->prepare(), std::bad_alloc);
@@ -173,8 +176,7 @@ TEST_P(RandomConfigSweep, RandomTableOneConfigMatchesReference) {
   }());
 
   core::DualOpConfig cfg;
-  cfg.approach = rng.integer(0, 1) ? core::Approach::ExplLegacy
-                                   : core::Approach::ExplModern;
+  cfg.key = rng.integer(0, 1) ? "expl legacy" : "expl modern";
   auto coin = [&] { return rng.integer(0, 1) == 1; };
   cfg.gpu.path = coin() ? core::Path::Syrk : core::Path::Trsm;
   cfg.gpu.fwd_storage = coin() ? core::FactorStorage::Sparse
@@ -194,8 +196,7 @@ TEST_P(RandomConfigSweep, RandomTableOneConfigMatchesReference) {
   // ignored there).
   const bool sp = coin();
   if (sp)
-    cfg.key = cfg.approach == core::Approach::ExplLegacy ? "expl legacy sp"
-                                                         : "expl modern sp";
+    cfg.key = cfg.key == "expl legacy" ? "expl legacy sp" : "expl modern sp";
 
   auto op = core::make_dual_operator(p, cfg, &dev);
   op->prepare();
@@ -208,7 +209,7 @@ TEST_P(RandomConfigSweep, RandomTableOneConfigMatchesReference) {
   }
 
   core::DualOpConfig ref_cfg;
-  ref_cfg.approach = core::Approach::ImplMkl;
+  ref_cfg.key = "impl mkl";
   auto ref = core::make_dual_operator(p, ref_cfg, nullptr);
   ref->prepare();
   ref->update_values();
@@ -360,7 +361,7 @@ TEST_P(IrregularBoundarySweep, SpAssemblyMatchesImplicitOnIrregularGrids) {
 
   // F̃ y must equal the matrix-free B K⁺ Bᵀ y of the implicit reference.
   core::DualOpConfig ref_cfg;
-  ref_cfg.approach = core::Approach::ImplMkl;
+  ref_cfg.key = "impl mkl";
   auto ref = core::make_dual_operator(p, ref_cfg, nullptr);
   ref->prepare();
   ref->update_values();

@@ -1,8 +1,8 @@
 // Tests of the orthogonal-axes configuration API, the string-keyed
 // dual-operator registry, and the batched multi-RHS lifecycle: the nine
-// Table-III keys, axis to_string/parse round-trips, legacy-enum
-// resolution, and apply(X, Y, nrhs) consistency for every constructible
-// approach.
+// Table-III families and the keys composed from them, axis to_string/parse
+// round-trips, summary composition, and apply(X, Y, nrhs) consistency for
+// every registered key.
 
 #include <gtest/gtest.h>
 
@@ -108,20 +108,54 @@ TEST(Registry, SpKeysCarryTheSparsityAxis) {
   EXPECT_EQ(sp_keys, 22);
 }
 
-TEST(Registry, MetadataAgreesWithLegacyCapabilityQueries) {
+TEST(Registry, EveryKeyRoundTripsThroughTheGrammar) {
+  // Key ↔ axis tuple is 1:1 for all 52 keys, the metadata and capability
+  // queries follow from the parsed axes, and every operator is named after
+  // the key it was created under (checked unprepared: naming is the
+  // registry's job, not the operator's).
   auto& registry = DualOperatorRegistry::instance();
-  for (Approach a : all_approaches()) {
-    const ApproachAxes axes = axes_of(a);
-    const std::string key = axes.key();
-    ASSERT_TRUE(registry.contains(key)) << key;
-    const DualOperatorInfo& info = registry.info(key);
+  FetiProblem p = heat2d_problem(4);
+  const std::vector<std::string> keys = registry.keys();
+  ASSERT_EQ(keys.size(), 52u);
+  for (const std::string& key : keys) {
+    const ApproachAxes axes = parse_axes(key);
+    EXPECT_EQ(axes.key(), key);
+    const DualOperatorInfo info = registry.info(key);
     EXPECT_EQ(info.key, key);
-    EXPECT_EQ(info.axes, axes);
-    EXPECT_FALSE(info.summary.empty());
-    EXPECT_EQ(uses_gpu(a), registry.uses_gpu(key)) << key;
-    EXPECT_EQ(uses_gpu(a), axes.device != ExecDevice::Cpu) << key;
-    EXPECT_EQ(is_explicit(a), registry.is_explicit(key)) << key;
-    EXPECT_EQ(is_explicit(a), axes.repr == Representation::Explicit) << key;
+    EXPECT_EQ(info.axes, axes) << key;
+    EXPECT_FALSE(info.summary.empty()) << key;
+    EXPECT_EQ(registry.uses_gpu(key), axes.device != ExecDevice::Cpu) << key;
+    EXPECT_EQ(registry.is_explicit(key),
+              axes.repr == Representation::Explicit)
+        << key;
+    DualOpConfig cfg;
+    cfg.key = key;
+    auto op = make_dual_operator(p, cfg, &test_context());
+    ASSERT_NE(op, nullptr) << key;
+    EXPECT_EQ(std::string(op->name()), key);
+  }
+}
+
+TEST(Registry, SummariesComposeFromTheirFamily) {
+  // `<family summary>[, boundary-restricted panel][, fp32 storage + fp64
+  // accumulation][, sharded across N virtual GPUs]`: no doubled or dangling
+  // separators, and every composed key extends its family's summary.
+  auto& registry = DualOperatorRegistry::instance();
+  const std::vector<std::string> families = registry.families();
+  ASSERT_EQ(families.size(), 9u);
+  for (const std::string& key : registry.keys()) {
+    const std::string summary = registry.info(key).summary;
+    EXPECT_EQ(summary.find(",,"), std::string::npos) << key;
+    EXPECT_EQ(summary.find(", ("), std::string::npos) << key;
+    ApproachAxes family = parse_axes(key);
+    family.sparsity = false;
+    family.precision = Precision::F64;
+    family.shards = 1;
+    ASSERT_NE(std::find(families.begin(), families.end(), family.key()),
+              families.end())
+        << key;
+    EXPECT_TRUE(summary.starts_with(registry.info(family.key()).summary))
+        << key << ": " << summary;
   }
 }
 
@@ -154,14 +188,14 @@ TEST(Registry, AvailabilityTracksDeviceRequirement) {
 // ---------------------------------------------------------------------------
 
 TEST(ConfigAxes, KeyRoundTripsForAllNineApproaches) {
-  for (Approach a : all_approaches()) {
-    const ApproachAxes axes = axes_of(a);
-    EXPECT_TRUE(axes.valid());
-    const std::string key = axes.key();
-    EXPECT_EQ(key, to_string(a));
-    EXPECT_EQ(parse_axes(key), axes) << key;
-    EXPECT_EQ(approach_of(axes), a) << key;
-    EXPECT_EQ(parse_approach(to_string(a)), a);
+  for (const std::string& key : DualOperatorRegistry::instance().families()) {
+    const ApproachAxes axes = parse_axes(key);
+    EXPECT_TRUE(axes.valid()) << key;
+    EXPECT_EQ(axes.key(), key);
+    // Family keys sit at the defaults of the composed axes.
+    EXPECT_FALSE(axes.sparsity) << key;
+    EXPECT_EQ(axes.precision, Precision::F64) << key;
+    EXPECT_EQ(axes.shards, 1) << key;
   }
 }
 
@@ -206,7 +240,12 @@ TEST(ConfigAxes, InvalidTuplesAreRejected) {
   EXPECT_THROW(parse_axes("impl hybrid"), std::invalid_argument);
   EXPECT_THROW(parse_axes("expl"), std::invalid_argument);
   EXPECT_THROW(parse_axes("garbage key"), std::invalid_argument);
-  EXPECT_THROW((void)parse_approach("fastest"), std::invalid_argument);
+  // The shard axis: device-backed families only, 2 or 4 shards, spelled
+  // last and without a redundant " x1".
+  EXPECT_THROW(parse_axes("impl mkl x2"), std::invalid_argument);
+  EXPECT_THROW(parse_axes("expl legacy x3"), std::invalid_argument);
+  EXPECT_THROW(parse_axes("expl legacy x2 sp"), std::invalid_argument);
+  EXPECT_THROW(parse_axes("expl legacy x1"), std::invalid_argument);
 
   // The precision axis is explicit-only: fp32 has no F̃ to demote on the
   // implicit families.
@@ -243,8 +282,6 @@ TEST(ConfigAxes, SpKeysRoundTrip) {
     std::string base(key);
     base.erase(base.find(" sp"), 3);
     EXPECT_EQ(sibling.key(), base);
-    // No legacy Approach enumerator exists for sp tuples.
-    EXPECT_THROW((void)approach_of(axes), std::invalid_argument);
   }
 }
 
@@ -262,30 +299,28 @@ TEST(ConfigAxes, F32KeysRoundTrip) {
     sibling.precision = Precision::F64;
     const std::string base(key, std::strlen(key) - 4);
     EXPECT_EQ(sibling.key(), base);
-    // No legacy Approach enumerator exists for fp32 tuples.
-    EXPECT_THROW((void)approach_of(axes), std::invalid_argument);
   }
 }
 
-TEST(ConfigAxes, DualOpConfigKeyOverridesLegacyApproach) {
+TEST(ConfigAxes, DualOpConfigKeyIsTheOnlySelector) {
   DualOpConfig cfg;
-  cfg.approach = Approach::ImplMkl;
-  EXPECT_EQ(cfg.resolved_key(), "impl mkl");
-  cfg.key = "expl legacy";
-  EXPECT_EQ(cfg.resolved_key(), "expl legacy");
+  EXPECT_EQ(cfg.key, "impl mkl");
+  EXPECT_EQ(cfg.axes(), parse_axes("impl mkl"));
+  cfg.key = "expl legacy x2";
   EXPECT_EQ(cfg.axes().repr, Representation::Explicit);
   EXPECT_EQ(cfg.axes().device, ExecDevice::Gpu);
+  EXPECT_EQ(cfg.axes().shards, 2);
 
   DualOpConfig selected;
-  selected.select(axes_of(Approach::ExplHybrid));
-  EXPECT_EQ(selected.resolved_key(), "expl hybrid");
+  selected.select(parse_axes("expl hybrid sp f32 x4"));
+  EXPECT_EQ(selected.key, "expl hybrid sp f32 x4");
 }
 
 TEST(Autotune, RecommendConfigFollowsAxes) {
   // CPU axes keep the (unused) defaults; GPU axes pick up the Table-II
   // parameters of their API generation.
   DualOpConfig cpu = recommend_config(parse_axes("expl mkl"), 3, 20000);
-  EXPECT_EQ(cpu.resolved_key(), "expl mkl");
+  EXPECT_EQ(cpu.key, "expl mkl");
   DualOpConfig legacy = recommend_config(parse_axes("expl legacy"), 3, 20000);
   EXPECT_EQ(legacy.gpu.fwd_storage, FactorStorage::Sparse);
   DualOpConfig modern = recommend_config(parse_axes("expl modern"), 3, 20000);
@@ -297,22 +332,6 @@ TEST(Autotune, RecommendConfigFollowsAxes) {
   DualOpConfig huge = recommend_config(parse_axes("expl legacy"), 3, 20000,
                                        /*nrhs_hint=*/64);
   EXPECT_EQ(huge.gpu.streams, 8);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy enum resolves to the registered implementations
-// ---------------------------------------------------------------------------
-
-TEST(LegacyEnum, ResolvesToTheRegisteredImplementation) {
-  FetiProblem p = heat2d_problem(4);
-  for (Approach a : all_approaches()) {
-    DualOpConfig cfg;
-    cfg.approach = a;
-    auto op = make_dual_operator(p, cfg, &test_context());
-    ASSERT_NE(op, nullptr);
-    // Every implementation reports its registry key as its name.
-    EXPECT_EQ(std::string(op->name()), axes_of(a).key());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -548,13 +567,13 @@ TEST(MixedPrecision, EndToEndSolveConvergesOnF32Keys) {
 TEST(Autotune, WorkloadHintSelectsF32Storage) {
   const ApproachAxes expl_gpu = parse_axes("expl legacy");
   // No hint: fp64 stays.
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000).resolved_key(),
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000).key,
             "expl legacy");
   // Bandwidth-bound workloads halve the streamed bytes.
   WorkloadHint bandwidth;
   bandwidth.bandwidth_bound = true;
   EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, bandwidth)
-                .resolved_key(),
+                .key,
             "expl legacy f32");
   // A memory budget the fp64 footprint overflows (but fp32 fits) demotes:
   // 8 subdomains × 1000² × 8 B = 64 MB > 48 MB budget; fp32 needs 32 MB.
@@ -562,18 +581,18 @@ TEST(Autotune, WorkloadHintSelectsF32Storage) {
   tight.num_subdomains = 8;
   tight.lambdas_per_subdomain = 1000;
   tight.memory_budget_bytes = 48ull << 20;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, tight).resolved_key(),
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, tight).key,
             "expl legacy f32");
   // A comfortable budget keeps fp64; a hopeless one (even fp32 overflows)
   // also keeps fp64 — precision cannot save that run.
   WorkloadHint roomy = tight;
   roomy.memory_budget_bytes = 256ull << 20;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, roomy).resolved_key(),
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, roomy).key,
             "expl legacy");
   WorkloadHint hopeless = tight;
   hopeless.memory_budget_bytes = 8ull << 20;
   EXPECT_EQ(
-      recommend_config(expl_gpu, 3, 20000, 1, {}, hopeless).resolved_key(),
+      recommend_config(expl_gpu, 3, 20000, 1, {}, hopeless).key,
       "expl legacy");
   // The sharded remap composes: the budget is per shard, and the f32 tag
   // sits before the shard suffix.
@@ -582,52 +601,52 @@ TEST(Autotune, WorkloadHintSelectsF32Storage) {
   WorkloadHint per_shard = tight;
   per_shard.memory_budget_bytes = 24ull << 20;  // 2 shards × 24 MB < 64 MB
   EXPECT_EQ(
-      recommend_config(expl_gpu, 3, 20000, 1, two, per_shard).resolved_key(),
+      recommend_config(expl_gpu, 3, 20000, 1, two, per_shard).key,
       "expl legacy f32 x2");
   // Implicit families have no F̃ storage: the hint never touches them.
   EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1, {},
                              bandwidth)
-                .resolved_key(),
+                .key,
             "impl legacy");
 }
 
 TEST(Autotune, WorkloadHintSelectsSparsityAwareAssembly) {
   const ApproachAxes expl_gpu = parse_axes("expl legacy");
   // No hint (boundary fraction unknown): the dense assembly stays.
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000).resolved_key(),
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000).key,
             "expl legacy");
   // Interior-heavy subdomains (small boundary fraction) select the
   // boundary-restricted solve panel.
   WorkloadHint interior;
   interior.boundary_fraction = 0.2;
   EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, interior)
-                .resolved_key(),
+                .key,
             "expl legacy sp");
   // Boundary-dominated subdomains keep the dense panel: the sp expansion
   // SpMMs would be pure overhead.
   WorkloadHint surface;
   surface.boundary_fraction = 0.9;
   EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, surface)
-                .resolved_key(),
+                .key,
             "expl legacy");
   // Composes with the precision hint and the sharded topology remap: the
   // tags stack as "<base> sp f32 xN" per the key grammar.
   WorkloadHint both = interior;
   both.bandwidth_bound = true;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, both).resolved_key(),
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, both).key,
             "expl legacy sp f32");
   gpu::DeviceTopology two;
   two.num_devices = 2;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, two, both).resolved_key(),
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, two, both).key,
             "expl legacy sp f32 x2");
   // CPU explicit axes take the hint too; implicit families never do.
   EXPECT_EQ(recommend_config(parse_axes("expl mkl"), 3, 20000, 1, {},
                              interior)
-                .resolved_key(),
+                .key,
             "expl mkl sp");
   EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1, {},
                              interior)
-                .resolved_key(),
+                .key,
             "impl legacy");
 }
 
@@ -641,7 +660,6 @@ class LoopOnlyOp final : public DualOperator {
   void prepare() override {}
   void update_values() override {}
   void kplus_solve(idx, const double*, double*) const override {}
-  [[nodiscard]] const char* name() const override { return "loop only"; }
 
  protected:
   void apply_one(const double* x, double* y) override {
@@ -776,27 +794,27 @@ TEST(Autotune, TopologyHintSelectsShardedVariantsAndStreams) {
   const ApproachAxes axes = parse_axes("expl legacy");
   gpu::DeviceTopology two;
   two.num_devices = 2;
-  EXPECT_EQ(recommend_config(axes, 3, 20000, 1, two).resolved_key(),
+  EXPECT_EQ(recommend_config(axes, 3, 20000, 1, two).key,
             "expl legacy x2");
   gpu::DeviceTopology many;
   many.num_devices = 8;
   many.streams_per_device = 6;
   DualOpConfig cfg = recommend_config(axes, 3, 20000, 1, many);
-  EXPECT_EQ(cfg.resolved_key(), "expl legacy x4");
+  EXPECT_EQ(cfg.key, "expl legacy x4");
   EXPECT_EQ(cfg.gpu.streams, 6);
   // Implicit and hybrid families have sharded registrations too, so the
   // topology routes them as well; CPU axes are unaffected.
   EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1, many)
-                .resolved_key(),
+                .key,
             "impl legacy x4");
   EXPECT_EQ(recommend_config(parse_axes("expl hybrid"), 3, 20000, 1, two)
-                .resolved_key(),
+                .key,
             "expl hybrid x2");
   EXPECT_EQ(recommend_config(parse_axes("expl mkl"), 3, 20000, 1, many)
-                .resolved_key(),
+                .key,
             "expl mkl");
   EXPECT_EQ(recommend_config(parse_axes("impl cholmod"), 3, 20000, 1, many)
-                .resolved_key(),
+                .key,
             "impl cholmod");
 }
 
@@ -883,7 +901,7 @@ TEST(ShardedOperator, ShardsExceedingSubdomainsOwnNothing) {
     op->update_values();
 
     DualOpConfig ref_cfg;
-    ref_cfg.approach = Approach::ImplMkl;
+    ref_cfg.key = "impl mkl";
     auto ref = make_dual_operator(p, ref_cfg);
     ref->prepare();
     ref->update_values();

@@ -361,7 +361,7 @@ TEST(SolverService, AutotunedKeyDemotesToF32UnderPoolPressure) {
       job, 2, gpu::DeviceTopology{1, 0},
       /*remaining=*/blocks * sizeof(double) - 1, /*total=*/blocks * 64);
   EXPECT_EQ(tight.axes().precision, core::Precision::F32);
-  EXPECT_NE(tight.resolved_key().find(" f32"), std::string::npos);
+  EXPECT_NE(tight.key.find(" f32"), std::string::npos);
   // No budget configured (total == 0): never demote.
   core::DualOpConfig unlimited = SolverService::plan_config(
       job, 2, gpu::DeviceTopology{1, 0}, /*remaining=*/0, /*total=*/0);
