@@ -33,36 +33,6 @@ namespace feti::core {
 
 namespace {
 
-/// Column-permutes B̃ᵢ by the solver's fill-reducing permutation:
-/// (B P^T)(:, new) = B(:, perm[new]), so entry (r, j) moves to (r, iperm[j]).
-la::Csr permute_columns(const la::Csr& b, const std::vector<idx>& perm) {
-  const std::vector<idx> iperm = la::invert_permutation(perm);
-  std::vector<la::Triplet> t;
-  t.reserve(static_cast<std::size_t>(b.nnz()));
-  for (idx r = 0; r < b.nrows(); ++r)
-    for (idx k = b.row_begin(r); k < b.row_end(r); ++k)
-      t.push_back({r, iperm[b.col(k)], b.val(k)});
-  return la::Csr::from_triplets(b.nrows(), b.ncols(), std::move(t));
-}
-
-/// Expands the boundary-restricted Gram block G_bb = E_b K⁻¹ E_bᵀ (with
-/// only the `stored` triangle valid on entry) into the full F̃ target:
-/// F̃ = B_b G_bb B_bᵀ via two sparse multiplies, reusing the first
-/// product's storage as the transposed view for the second (the same trick
-/// as the Dirichlet preconditioner's B_b S B_bᵀ). Writes the whole m × m
-/// rectangle of `target`.
-void expand_boundary(const la::Csr& b_b, la::DenseView g, la::Uplo stored,
-                     la::DenseView target) {
-  la::symmetrize_from(g, stored);
-  const idx m = target.rows;
-  const idx nb = g.rows;
-  la::DenseMatrix t(m, nb, la::Layout::RowMajor);
-  la::spmm(1.0, b_b, la::Trans::No, la::ConstDenseView(g), 0.0, t.view());
-  const la::ConstDenseView t_trans{t.data(), nb, m, t.ld(),
-                                   la::Layout::ColMajor};
-  la::spmm(1.0, b_b, la::Trans::No, t_trans, 0.0, target);
-}
-
 void zero_fill(la::DenseView v) {
   for (idx c = 0; c < v.cols; ++c)
     for (idx r = 0; r < v.rows; ++r) v.at(r, c) = 0.0;
@@ -423,8 +393,8 @@ class ExplicitCpuSchurDualOp final : public ExplicitCpuBaseT<T> {
             la::DenseMatrix g(nb, nb, la::Layout::ColMajor);
             solvers_[s]->factorize_schur(p_.sub[s].k_reg, e_b_[s], g.view(),
                                          la::Uplo::Upper);
-            expand_boundary(boundary_[s].b_b, g.view(), la::Uplo::Upper,
-                            target);
+            decomp::expand_boundary(boundary_[s].b_b, g.view(),
+                                    la::Uplo::Upper, target);
             this->solve_columns_.fetch_add(nb, std::memory_order_relaxed);
           }
         } else {
@@ -481,12 +451,12 @@ class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
           // Boundary-restricted RHS: the forward solve runs against the
           // nb-column selection E_bᵀ instead of the m-column densified B̃ᵢᵀ.
           boundary_[s] = decomp::boundary_dofs(p_.sub[s]);
-          bperm_[s] = permute_columns(
+          bperm_[s] = la::permute_columns(
               decomp::boundary_selection(boundary_[s], p_.sub[s].ndof()),
               solvers_[s]->permutation());
         } else {
           bperm_[s] =
-              permute_columns(p_.sub[s].b, solvers_[s]->permutation());
+              la::permute_columns(p_.sub[s].b, solvers_[s]->permutation());
         }
       });
     }
@@ -529,8 +499,8 @@ class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
           la::DenseMatrix g(cols, cols, la::Layout::ColMajor);
           la::syrk(la::Uplo::Upper, la::Trans::Yes, 1.0, x.cview(), 0.0,
                    g.view());
-          expand_boundary(boundary_[s].b_b, g.view(), la::Uplo::Upper,
-                          target);
+          decomp::expand_boundary(boundary_[s].b_b, g.view(),
+                                  la::Uplo::Upper, target);
         } else {
           la::syrk(la::Uplo::Upper, la::Trans::Yes, 1.0, x.cview(), 0.0,
                    target);

@@ -1,5 +1,7 @@
 #include "decomp/boundary.hpp"
 
+#include "la/blas_sparse.hpp"
+
 namespace feti::decomp {
 
 BoundaryDofs boundary_dofs(const FetiSubdomain& s) {
@@ -33,6 +35,18 @@ la::Csr boundary_selection(const BoundaryDofs& boundary, idx ndof) {
   std::vector<double> vals(static_cast<std::size_t>(nb), 1.0);
   return la::Csr(nb, ndof, std::move(rowptr), std::move(colidx),
                  std::move(vals));
+}
+
+void expand_boundary(const la::Csr& b_b, la::DenseView g, la::Uplo stored,
+                     la::DenseView target) {
+  la::symmetrize_from(g, stored);
+  const idx m = target.rows;
+  const idx nb = g.rows;
+  la::DenseMatrix t(m, nb, la::Layout::RowMajor);
+  la::spmm(1.0, b_b, la::Trans::No, la::ConstDenseView(g), 0.0, t.view());
+  const la::ConstDenseView t_trans{t.data(), nb, m, t.ld(),
+                                   la::Layout::ColMajor};
+  la::spmm(1.0, b_b, la::Trans::No, t_trans, 0.0, target);
 }
 
 }  // namespace feti::decomp

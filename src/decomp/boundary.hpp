@@ -41,4 +41,14 @@ struct BoundaryDofs {
 [[nodiscard]] la::Csr boundary_selection(const BoundaryDofs& boundary,
                                          idx ndof);
 
+/// Expands the boundary-restricted Gram block G_bb = E_b K⁻¹ E_bᵀ (with
+/// only the `stored` triangle valid on entry; the other one is mirrored in
+/// place) into the full F̃ target of the sparsity-aware explicit operators:
+/// F̃ = B_b G_bb B_bᵀ via two sparse multiplies, reusing the first
+/// product's storage as the transposed view for the second (the same trick
+/// as the Dirichlet preconditioner's B_b S B_bᵀ). Writes the whole m × m
+/// rectangle of `target`.
+void expand_boundary(const la::Csr& b_b, la::DenseView g, la::Uplo stored,
+                     la::DenseView target);
+
 }  // namespace feti::decomp

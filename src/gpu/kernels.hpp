@@ -6,13 +6,12 @@
 // the GPU), plus small vector utilities and the fp64→fp32 demotion kernels
 // of the mixed-precision explicit operators.
 //
-// Both single-RHS and multi-RHS variants exist. The multi-RHS kernels move
-// all subdomains × all right-hand sides in one submission: the cluster-wide
-// block stores its columns at stride `cluster_ld` (column j of the dual
-// system j starts at cluster + j * cluster_ld), and each subdomain's local
-// block is an n × nrhs dense panel whose layout/leading dimension the
-// caller chooses (a batch narrower than the allocated panel reuses the
-// leading columns).
+// The kernels move all subdomains × all right-hand sides in one submission
+// (a single dual vector is nrhs = 1): the cluster-wide block stores its
+// columns at stride `cluster_ld` (column j of the dual system j starts at
+// cluster + j * cluster_ld), and each subdomain's local block is an
+// n × nrhs dense panel whose layout/leading dimension the caller chooses (a
+// batch narrower than the allocated panel reuses the leading columns).
 //
 // The local-panel scalar is a template parameter: the cluster-wide dual
 // vectors always stay fp64, and the fp32 instantiation downcasts on
@@ -28,25 +27,12 @@
 namespace feti::gpu::kernels {
 
 /// One subdomain's slice of a scatter/gather: `map[i]` is the cluster index
-/// of local lambda i. An optional per-row weight vector turns the pair of
-/// kernels into the scaled restriction/prolongation of the preconditioner
-/// layer (local = D·scatter(x) on the way in, cluster += D·local on the
-/// way out); nullptr means unweighted, and existing braced initializers
-/// stay valid because the member trails.
-template <typename T>
-struct DualMapT {
-  const idx* map = nullptr;  ///< device array, length n
-  idx n = 0;
-  T* local = nullptr;        ///< device subdomain vector, length n
-  const double* weight = nullptr;  ///< optional device array, length n
-};
-
-using DualMap = DualMapT<double>;
-using DualMapF32 = DualMapT<float>;
-
-/// One subdomain's slice of a multi-RHS scatter/gather: the local panel is
-/// n × nrhs dense with leading dimension `ld` (row-major: ld >= nrhs,
-/// col-major: ld >= n — the layout is a shared kernel argument).
+/// of local lambda i, and the local panel is n × nrhs dense with leading
+/// dimension `ld` (row-major: ld >= nrhs, col-major: ld >= n — the layout
+/// is a shared kernel argument). An optional per-row weight vector turns
+/// the pair of kernels into the scaled restriction/prolongation of the
+/// preconditioner layer (local = D·scatter(x) on the way in, cluster +=
+/// D·local on the way out); nullptr means unweighted.
 template <typename T>
 struct DualMapBlockT {
   const idx* map = nullptr;  ///< device array, length n
@@ -57,7 +43,6 @@ struct DualMapBlockT {
 };
 
 using DualMapBlock = DualMapBlockT<double>;
-using DualMapBlockF32 = DualMapBlockT<float>;
 
 /// Single submission moving all subdomains × all RHS:
 /// local(i, j) = T(cluster[map[i] + j * cluster_ld]) for j in [0, nrhs).
@@ -97,8 +82,8 @@ void scatter_batch(Stream& s, const double* cluster, idx cluster_ld,
 /// Single submission: zero-fills the first nrhs cluster columns (each of
 /// length cluster_size at stride cluster_ld), then accumulates
 /// cluster[map[i] + j * cluster_ld] += local(i, j) over every subdomain —
-/// overlapping dual indices sum, as in the single-RHS gather. The cluster
-/// accumulation is always fp64, whatever the local-panel scalar.
+/// overlapping dual indices sum, in job order. The cluster accumulation
+/// is always fp64, whatever the local-panel scalar.
 /// nrhs == 0 submits nothing (the cluster block is left untouched).
 template <typename T>
 void gather_batch(Stream& s, double* cluster, idx cluster_size,
@@ -133,33 +118,8 @@ void gather_batch(Stream& s, double* cluster, idx cluster_size,
   });
 }
 
-/// Single submission: local[i] = cluster[map[i]] for every subdomain.
-template <typename T>
-void scatter_batch(Stream& s, const double* cluster,
-                   std::vector<DualMapT<T>> jobs) {
-  std::vector<DualMapBlockT<T>> blocks;
-  blocks.reserve(jobs.size());
-  for (const auto& j : jobs)
-    blocks.push_back({j.map, j.n, j.local, 1, j.weight});
-  scatter_batch(s, cluster, /*cluster_ld=*/0, /*nrhs=*/1,
-                la::Layout::RowMajor, std::move(blocks));
-}
-
-/// Single submission: cluster = sum of scattered locals; zero-fills the
-/// cluster vector first.
-template <typename T>
-void gather_batch(Stream& s, double* cluster, idx cluster_size,
-                  std::vector<DualMapT<T>> jobs) {
-  std::vector<DualMapBlockT<T>> blocks;
-  blocks.reserve(jobs.size());
-  for (const auto& j : jobs)
-    blocks.push_back({j.map, j.n, j.local, 1, j.weight});
-  gather_batch(s, cluster, cluster_size, /*cluster_ld=*/cluster_size,
-               /*nrhs=*/1, la::Layout::RowMajor, std::move(blocks));
-}
-
 // Non-template fp64 overloads: template-argument deduction cannot see
-// through a braced job list ({{map, n, local}}), and fp64 is the common
+// through a braced job list ({{map, n, local, ld}}), and fp64 is the common
 // case — these forward to the templates above.
 
 inline void scatter_batch(Stream& s, const double* cluster, idx cluster_ld,
@@ -174,16 +134,6 @@ inline void gather_batch(Stream& s, double* cluster, idx cluster_size,
                          std::vector<DualMapBlock> jobs) {
   gather_batch<double>(s, cluster, cluster_size, cluster_ld, nrhs,
                        local_layout, std::move(jobs));
-}
-
-inline void scatter_batch(Stream& s, const double* cluster,
-                          std::vector<DualMap> jobs) {
-  scatter_batch<double>(s, cluster, std::move(jobs));
-}
-
-inline void gather_batch(Stream& s, double* cluster, idx cluster_size,
-                         std::vector<DualMap> jobs) {
-  gather_batch<double>(s, cluster, cluster_size, std::move(jobs));
 }
 
 /// Sets a device vector to zero.

@@ -161,4 +161,14 @@ std::vector<idx> invert_permutation(const std::vector<idx>& perm) {
   return inv;
 }
 
+Csr permute_columns(const Csr& b, const std::vector<idx>& perm) {
+  const std::vector<idx> iperm = invert_permutation(perm);
+  std::vector<Triplet> t;
+  t.reserve(static_cast<std::size_t>(b.nnz()));
+  for (idx r = 0; r < b.nrows(); ++r)
+    for (idx k = b.row_begin(r); k < b.row_end(r); ++k)
+      t.push_back({r, iperm[b.col(k)], b.val(k)});
+  return Csr::from_triplets(b.nrows(), b.ncols(), std::move(t));
+}
+
 }  // namespace feti::la

@@ -107,4 +107,9 @@ class Csr {
 /// Inverse of a permutation given as perm[new] = old.
 std::vector<idx> invert_permutation(const std::vector<idx>& perm);
 
+/// Column-permutes `b` by a solver's fill-reducing permutation (perm[new] =
+/// old): (B P^T)(:, new) = B(:, perm[new]), so entry (r, j) moves to
+/// (r, iperm[j]).
+Csr permute_columns(const Csr& b, const std::vector<idx>& perm);
+
 }  // namespace feti::la

@@ -1,9 +1,9 @@
 // The built-in block preconditioners: per-subdomain dual blocks
 // M̃ᵢ (lumped / superlumped / dirichlet) assembled on the CPU, applied as
 // M⁻¹ x = Σᵢ scatterᵀ D M̃ᵢ D scatter x either host-side (one SYMV/SYMM per
-// subdomain) or device-side (batched weighted scatter/gather kernels plus
-// one vcuBLAS SYMV/SYMM per subdomain, mirroring the hybrid dual-operator
-// apply path). Registration of all key-grammar points lives at the bottom.
+// subdomain) or device-side (one vcuBLAS SYMV/SYMM per subdomain on the
+// weighted device apply path the GPU dual operators use). Registration of
+// all key-grammar points lives at the bottom.
 
 #include <omp.h>
 
@@ -13,11 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/gpu_dual_vectors.hpp"
 #include "decomp/boundary.hpp"
 #include "gpu/blas.hpp"
 #include "gpu/context.hpp"
 #include "gpu/data.hpp"
-#include "gpu/kernels.hpp"
 #include "la/blas_dense.hpp"
 #include "la/blas_sparse.hpp"
 #include "precond/precond_registry.hpp"
@@ -435,11 +435,13 @@ class CpuBlockPreconditioner final : public Preconditioner {
 // GPU applier
 // ---------------------------------------------------------------------------
 
-/// Assembles on the CPU (same assemblers as above), keeps the M̃ᵢ blocks,
-/// the multiplier maps, and the scaling diagonals resident on the shard's
-/// device, and serves M⁻¹ entirely device-side: weighted batched scatter →
-/// one SYMV/SYMM per subdomain across the context's worker streams →
-/// weighted batched gather, one H2D and one D2H per apply.
+/// Assembles on the CPU (same assemblers as above), keeps the M̃ᵢ blocks and
+/// the scaling diagonals resident on the shard's device, and serves M⁻¹
+/// through the device apply path of the GPU dual operators
+/// (core/gpu_dual_vectors.hpp): weighted batched scatter → one SYMV/SYMM
+/// per subdomain across the context's worker streams → weighted batched
+/// gather, one H2D and one D2H per apply (none for device-resident
+/// columns).
 class GpuBlockPreconditioner final : public Preconditioner {
  public:
   GpuBlockPreconditioner(const decomp::FetiProblem& p, std::string key,
@@ -452,16 +454,6 @@ class GpuBlockPreconditioner final : public Preconditioner {
   ~GpuBlockPreconditioner() override {
     dev_.synchronize();
     for (auto& d : m_dev_) gpu::free_dense(dev_, d);
-    for (idx* p : map_dev_) free_ptr(p);
-    for (double* p : weight_dev_) free_ptr(p);
-    for (double* p : lam_dev_) free_ptr(p);
-    for (double* p : q_dev_) free_ptr(p);
-    for (double* p : lamb_dev_) free_ptr(p);
-    for (double* p : qb_dev_) free_ptr(p);
-    free_ptr(d_x_);
-    free_ptr(d_y_);
-    free_ptr(d_xb_);
-    free_ptr(d_yb_);
   }
 
   void prepare() override {
@@ -472,33 +464,18 @@ class GpuBlockPreconditioner final : public Preconditioner {
     const std::size_t nsub = p_.sub.size();
     m_host_.resize(nsub);
     m_dev_.resize(nsub);
-    map_dev_.resize(nsub, nullptr);
-    weight_dev_.resize(nsub, nullptr);
-    lam_dev_.resize(nsub, nullptr);
-    q_dev_.resize(nsub, nullptr);
-    if (scaling_ == Scaling::Multiplicity)
-      weights_ = compute_scaling_weights(p_, scaling_);
     for (std::size_t s = 0; s < nsub; ++s) {
-      const auto& fs = p_.sub[s];
-      const idx m = fs.num_local_lambdas();
+      const idx m = p_.sub[s].num_local_lambdas();
       if (m == 0) continue;
       m_host_[s] = la::DenseMatrix(m, m, la::Layout::ColMajor);
       m_dev_[s] = gpu::alloc_dense(dev_, m, m, la::Layout::ColMajor);
-      map_dev_[s] = gpu::upload_array(dev_, main_stream_, fs.lm_l2c);
-      lam_dev_[s] = dev_.alloc_n<double>(static_cast<std::size_t>(m));
-      q_dev_[s] = dev_.alloc_n<double>(static_cast<std::size_t>(m));
-      if (scaling_ != Scaling::None) {
-        weight_dev_[s] = dev_.alloc_n<double>(static_cast<std::size_t>(m));
-        if (scaling_ == Scaling::Multiplicity)
-          main_stream_.memcpy_h2d(weight_dev_[s], weights_[s].data(),
-                                  static_cast<std::size_t>(m) *
-                                      sizeof(double));
-      }
     }
-    const std::size_t n =
-        std::max<std::size_t>(1, static_cast<std::size_t>(p_.num_lambdas));
-    d_x_ = dev_.alloc_n<double>(n);
-    d_y_ = dev_.alloc_n<double>(n);
+    vectors_.prepare(dev_, main_stream_, p_, core::resolve_owned(p_, {}),
+                     /*weighted=*/scaling_ != Scaling::None);
+    if (scaling_ == Scaling::Multiplicity) {
+      weights_ = compute_scaling_weights(p_, scaling_);
+      vectors_.upload_weights(main_stream_, weights_);
+    }
     dev_.synchronize();
     ctx_.ensure_workspace();
   }
@@ -528,10 +505,7 @@ class GpuBlockPreconditioner final : public Preconditioner {
       // Neighbor K values feed these diagonals, so every weight refreshes
       // whenever any subdomain does.
       weights_ = compute_scaling_weights(p_, scaling_);
-      for (std::size_t s = 0; s < p_.sub.size(); ++s)
-        if (weight_dev_[s] != nullptr)
-          main_stream_.memcpy_h2d(weight_dev_[s], weights_[s].data(),
-                                  weights_[s].size() * sizeof(double));
+      vectors_.upload_weights(main_stream_, weights_);
     }
     dev_.synchronize();
     end_update(plan);
@@ -545,156 +519,33 @@ class GpuBlockPreconditioner final : public Preconditioner {
 
  protected:
   void apply_one(const double* x, double* y) override {
-    const idx n = p_.num_lambdas;
-    main_stream_.memcpy_h2d(d_x_, x,
-                            static_cast<std::size_t>(n) * sizeof(double));
-    gpu::kernels::scatter_batch(main_stream_, d_x_, make_jobs(lam_dev_));
-    const gpu::Event scattered = main_stream_.record();
-    for (auto& st : streams_) st.wait(scattered);
-    const std::size_t ns = streams_.size();
-    for (std::size_t s = 0; s < p_.sub.size(); ++s) {
-      if (lam_dev_[s] == nullptr) continue;
-      gpu::Stream& st = streams_[s % ns];
-      gpu::blas::symv(st, la::Uplo::Upper, 1.0, m_dev_[s], lam_dev_[s], 0.0,
-                      q_dev_[s]);
-    }
-    for (auto& st : streams_) main_stream_.wait(st.record());
-    gpu::kernels::gather_batch(main_stream_, d_y_, n, make_jobs(q_dev_));
-    main_stream_.memcpy_d2h(y, d_y_,
-                            static_cast<std::size_t>(n) * sizeof(double));
-    main_stream_.synchronize();
+    apply_blocks(x, y, 1, core::ClusterMemory::Host);
   }
 
   void apply_many(const double* x, double* y, idx nrhs) override {
-    const idx n = p_.num_lambdas;
-    ensure_batch(nrhs);
-    main_stream_.memcpy_h2d(
-        d_xb_, x,
-        static_cast<std::size_t>(n) * nrhs * sizeof(double));
-    gpu::kernels::scatter_batch(main_stream_, d_xb_, n, nrhs,
-                                la::Layout::RowMajor,
-                                make_block_jobs(lamb_dev_));
-    const gpu::Event scattered = main_stream_.record();
-    for (auto& st : streams_) st.wait(scattered);
-    const std::size_t ns = streams_.size();
-    for (std::size_t s = 0; s < p_.sub.size(); ++s) {
-      if (lamb_dev_[s] == nullptr) continue;
-      const idx m = p_.sub[s].num_local_lambdas();
-      gpu::Stream& st = streams_[s % ns];
-      const gpu::DeviceDense lam{lamb_dev_[s], m, nrhs, batch_cols_,
-                                 la::Layout::RowMajor};
-      const gpu::DeviceDense q{qb_dev_[s], m, nrhs, batch_cols_,
-                               la::Layout::RowMajor};
-      gpu::blas::symm(st, la::Uplo::Upper, 1.0, m_dev_[s], lam, 0.0, q);
-    }
-    for (auto& st : streams_) main_stream_.wait(st.record());
-    gpu::kernels::gather_batch(main_stream_, d_yb_, n, n, nrhs,
-                               la::Layout::RowMajor,
-                               make_block_jobs(qb_dev_));
-    main_stream_.memcpy_d2h(
-        y, d_yb_, static_cast<std::size_t>(n) * nrhs * sizeof(double));
-    main_stream_.synchronize();
+    apply_blocks(x, y, nrhs, core::ClusterMemory::Host);
   }
 
-  /// Device-view apply for the device-state PCPG mode: identical kernels
-  /// to apply_one/apply_many (nrhs == 1 keeps the SYMV path for bitwise
-  /// agreement), but scatters from the caller's device columns and gathers
-  /// into them directly — the d_x_/d_y_ staging memcpys disappear.
   void apply_many_device(const double* d_x, double* d_y, idx nrhs) override {
-    const idx n = p_.num_lambdas;
-    const std::size_t ns = streams_.size();
-    if (nrhs == 1) {
-      gpu::kernels::scatter_batch(main_stream_, d_x, make_jobs(lam_dev_));
-      const gpu::Event scattered = main_stream_.record();
-      for (auto& st : streams_) st.wait(scattered);
-      for (std::size_t s = 0; s < p_.sub.size(); ++s) {
-        if (lam_dev_[s] == nullptr) continue;
-        gpu::Stream& st = streams_[s % ns];
-        gpu::blas::symv(st, la::Uplo::Upper, 1.0, m_dev_[s], lam_dev_[s],
-                        0.0, q_dev_[s]);
-      }
-      for (auto& st : streams_) main_stream_.wait(st.record());
-      gpu::kernels::gather_batch(main_stream_, d_y, n, make_jobs(q_dev_));
-      main_stream_.synchronize();
-      return;
-    }
-    ensure_batch(nrhs);
-    gpu::kernels::scatter_batch(main_stream_, d_x, n, nrhs,
-                                la::Layout::RowMajor,
-                                make_block_jobs(lamb_dev_));
-    const gpu::Event scattered = main_stream_.record();
-    for (auto& st : streams_) st.wait(scattered);
-    for (std::size_t s = 0; s < p_.sub.size(); ++s) {
-      if (lamb_dev_[s] == nullptr) continue;
-      const idx m = p_.sub[s].num_local_lambdas();
-      gpu::Stream& st = streams_[s % ns];
-      const gpu::DeviceDense lam{lamb_dev_[s], m, nrhs, batch_cols_,
-                                 la::Layout::RowMajor};
-      const gpu::DeviceDense q{qb_dev_[s], m, nrhs, batch_cols_,
-                               la::Layout::RowMajor};
-      gpu::blas::symm(st, la::Uplo::Upper, 1.0, m_dev_[s], lam, 0.0, q);
-    }
-    for (auto& st : streams_) main_stream_.wait(st.record());
-    gpu::kernels::gather_batch(main_stream_, d_y, n, n, nrhs,
-                               la::Layout::RowMajor,
-                               make_block_jobs(qb_dev_));
-    main_stream_.synchronize();
+    apply_blocks(d_x, d_y, nrhs, core::ClusterMemory::Device);
   }
 
  private:
   static constexpr int kStreams = 4;
 
-  void free_ptr(void* p) {
-    if (p != nullptr) dev_.free(p);
-  }
-
-  [[nodiscard]] std::vector<gpu::kernels::DualMap> make_jobs(
-      const std::vector<double*>& locals) const {
-    std::vector<gpu::kernels::DualMap> jobs;
-    jobs.reserve(locals.size());
-    for (std::size_t s = 0; s < locals.size(); ++s) {
-      if (locals[s] == nullptr) continue;
-      jobs.push_back({map_dev_[s], p_.sub[s].num_local_lambdas(), locals[s],
-                      weight_dev_[s]});
-    }
-    return jobs;
-  }
-
-  [[nodiscard]] std::vector<gpu::kernels::DualMapBlock> make_block_jobs(
-      const std::vector<double*>& panels) const {
-    std::vector<gpu::kernels::DualMapBlock> jobs;
-    jobs.reserve(panels.size());
-    for (std::size_t s = 0; s < panels.size(); ++s) {
-      if (panels[s] == nullptr) continue;
-      jobs.push_back({map_dev_[s], p_.sub[s].num_local_lambdas(), panels[s],
-                      batch_cols_, weight_dev_[s]});
-    }
-    return jobs;
-  }
-
-  /// Grow-only batch storage: per-subdomain row-major panels (leading
-  /// dimension = the allocated capacity) plus the cluster-wide blocks.
-  void ensure_batch(idx nrhs) {
-    if (nrhs <= batch_cols_) return;
-    dev_.synchronize();
-    const std::size_t nsub = p_.sub.size();
-    lamb_dev_.resize(nsub, nullptr);
-    qb_dev_.resize(nsub, nullptr);
-    for (std::size_t s = 0; s < nsub; ++s) {
-      const idx m = p_.sub[s].num_local_lambdas();
-      if (m == 0) continue;
-      free_ptr(lamb_dev_[s]);
-      free_ptr(qb_dev_[s]);
-      lamb_dev_[s] = dev_.alloc_n<double>(static_cast<std::size_t>(m) * nrhs);
-      qb_dev_[s] = dev_.alloc_n<double>(static_cast<std::size_t>(m) * nrhs);
-    }
-    free_ptr(d_xb_);
-    free_ptr(d_yb_);
-    d_xb_ = dev_.alloc_n<double>(static_cast<std::size_t>(p_.num_lambdas) *
-                                 nrhs);
-    d_yb_ = dev_.alloc_n<double>(static_cast<std::size_t>(p_.num_lambdas) *
-                                 nrhs);
-    batch_cols_ = nrhs;
+  /// One SYMV per subdomain at width 1, one SYMM per subdomain above.
+  void apply_blocks(const double* x, double* y, idx nrhs,
+                    core::ClusterMemory memory) {
+    vectors_.apply_gpu(
+        main_stream_, streams_, x, y, nrhs, memory,
+        [this](idx s, gpu::Stream& st, gpu::DeviceDense lam,
+               gpu::DeviceDense q) {
+          if (lam.cols == 1)
+            gpu::blas::symv(st, la::Uplo::Upper, 1.0, m_dev_[s], lam.data,
+                            0.0, q.data);
+          else
+            gpu::blas::symm(st, la::Uplo::Upper, 1.0, m_dev_[s], lam, 0.0, q);
+        });
   }
 
   std::string key_;
@@ -707,15 +558,7 @@ class GpuBlockPreconditioner final : public Preconditioner {
   std::vector<la::DenseMatrix> m_host_;
   std::vector<gpu::DeviceDense> m_dev_;
   std::vector<std::vector<double>> weights_;  ///< host copy of the diagonals
-  std::vector<idx*> map_dev_;
-  std::vector<double*> weight_dev_;  ///< null per sub when unscaled
-  std::vector<double*> lam_dev_, q_dev_;
-  std::vector<double*> lamb_dev_, qb_dev_;  ///< batch panels
-  double* d_x_ = nullptr;
-  double* d_y_ = nullptr;
-  double* d_xb_ = nullptr;
-  double* d_yb_ = nullptr;
-  idx batch_cols_ = 0;
+  core::GpuDualVectors vectors_;
 };
 
 }  // namespace

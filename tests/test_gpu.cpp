@@ -483,39 +483,6 @@ TEST(GpuSparse, DenseConversions) {
   free_dense(dev, transposed);
 }
 
-TEST(GpuKernels, ScatterGatherBatchRoundTrip) {
-  Device dev(test_config());
-  Stream s = dev.create_stream();
-  // Cluster vector with two overlapping subdomain maps.
-  std::vector<double> cluster = {1, 2, 3, 4, 5};
-  std::vector<idx> map1 = {0, 2, 4}, map2 = {1, 2, 3};
-  double* dcluster = upload_array(dev, s, cluster);
-  idx* dmap1 = upload_array(dev, s, map1);
-  idx* dmap2 = upload_array(dev, s, map2);
-  double* dl1 = dev.alloc_n<double>(3);
-  double* dl2 = dev.alloc_n<double>(3);
-  kernels::scatter_batch(
-      s, dcluster, {{dmap1, 3, dl1}, {dmap2, 3, dl2}});
-  std::vector<double> l1(3), l2(3);
-  s.memcpy_d2h(l1.data(), dl1, 3 * sizeof(double));
-  s.memcpy_d2h(l2.data(), dl2, 3 * sizeof(double));
-  s.synchronize();
-  EXPECT_EQ(l1, (std::vector<double>{1, 3, 5}));
-  EXPECT_EQ(l2, (std::vector<double>{2, 3, 4}));
-
-  kernels::gather_batch(s, dcluster, 5, {{dmap1, 3, dl1}, {dmap2, 3, dl2}});
-  std::vector<double> out(5);
-  s.memcpy_d2h(out.data(), dcluster, 5 * sizeof(double));
-  s.synchronize();
-  // Row 2 is shared: 3 (from map1) + 3 (from map2).
-  EXPECT_EQ(out, (std::vector<double>{1, 2, 6, 4, 5}));
-  dev.free(dcluster);
-  dev.free(dmap1);
-  dev.free(dmap2);
-  dev.free(dl1);
-  dev.free(dl2);
-}
-
 TEST_F(GpuBlasTest, SymmMatchesCpuAndUsesStoredTriangleOnly) {
   const idx n = 7, w = 4;
   la::DenseMatrix full(n, n, la::Layout::ColMajor);
@@ -561,10 +528,7 @@ class MultiRhsKernels : public ::testing::Test {
     // Two overlapping subdomain maps over a 5-entry cluster vector; the
     // cluster block stores its columns at a non-contiguous stride.
     dcluster_ = dev_.alloc_n<double>(static_cast<std::size_t>(kLd) * kMaxRhs);
-    std::vector<double> init(static_cast<std::size_t>(kLd) * kMaxRhs);
-    for (std::size_t i = 0; i < init.size(); ++i)
-      init[i] = static_cast<double>(i + 1);
-    s_.memcpy_h2d(dcluster_, init.data(), init.size() * sizeof(double));
+    reset_cluster();
     dmap1_ = upload_array(dev_, s_, map1_);
     dmap2_ = upload_array(dev_, s_, map2_);
     s_.synchronize();
@@ -573,6 +537,15 @@ class MultiRhsKernels : public ::testing::Test {
     dev_.free(dcluster_);
     dev_.free(dmap1_);
     dev_.free(dmap2_);
+  }
+
+  /// Cluster entry i (stride gaps included) holds i + 1.
+  void reset_cluster() {
+    std::vector<double> init(static_cast<std::size_t>(kLd) * kMaxRhs);
+    for (std::size_t i = 0; i < init.size(); ++i)
+      init[i] = static_cast<double>(i + 1);
+    s_.memcpy_h2d(dcluster_, init.data(), init.size() * sizeof(double));
+    s_.synchronize();
   }
 
   [[nodiscard]] std::vector<double> read_cluster() {
@@ -594,92 +567,56 @@ class MultiRhsKernels : public ::testing::Test {
 };
 
 TEST_F(MultiRhsKernels, ScatterGatherBlocksRoundTripWithOverlap) {
-  // Row-major panels with leading dimension 4 > nrhs = 3: the batch only
-  // touches the first 3 entries of each panel row.
-  const idx nrhs = 3, ld = 4;
-  double* dl1 = dev_.alloc_n<double>(3 * ld);
-  double* dl2 = dev_.alloc_n<double>(3 * ld);
-  kernels::fill_zero(s_, dl1, 3 * ld);
-  kernels::fill_zero(s_, dl2, 3 * ld);
-  kernels::scatter_batch(s_, dcluster_, kLd, nrhs, la::Layout::RowMajor,
-                         {{dmap1_, 3, dl1, ld}, {dmap2_, 3, dl2, ld}});
-  std::vector<double> l1(3 * ld), l2(3 * ld);
-  s_.memcpy_d2h(l1.data(), dl1, l1.size() * sizeof(double));
-  s_.memcpy_d2h(l2.data(), dl2, l2.size() * sizeof(double));
-  s_.synchronize();
-  for (idx i = 0; i < 3; ++i)
-    for (idx j = 0; j < nrhs; ++j) {
-      // Cluster column j holds values (1 + j*kLd) + index.
-      EXPECT_EQ(l1[i * ld + j], 1.0 + j * kLd + map1_[i]) << i << "," << j;
-      EXPECT_EQ(l2[i * ld + j], 1.0 + j * kLd + map2_[i]) << i << "," << j;
-      // The ld > nrhs tail stays untouched (zero from fill_zero).
-      EXPECT_EQ(l1[i * ld + nrhs], 0.0);
-    }
-
-  // Gather: zero-fills the live cluster entries of each column, leaves the
-  // stride gap alone, and sums overlapping dual indices (map index 2 is
-  // shared by both subdomains).
-  kernels::gather_batch(s_, dcluster_, kSize, kLd, nrhs, la::Layout::RowMajor,
-                        {{dmap1_, 3, dl1, ld}, {dmap2_, 3, dl2, ld}});
-  std::vector<double> out = read_cluster();
-  for (idx j = 0; j < nrhs; ++j) {
-    const double base = 1.0 + j * kLd;
-    EXPECT_EQ(out[j * kLd + 0], base + 0);             // map1 only
-    EXPECT_EQ(out[j * kLd + 1], base + 1);             // map2 only
-    EXPECT_EQ(out[j * kLd + 2], 2 * (base + 2));       // shared: summed
-    EXPECT_EQ(out[j * kLd + 3], base + 3);             // map2 only
-    EXPECT_EQ(out[j * kLd + 4], base + 4);             // map1 only
-    // The stride gap beyond cluster_size is untouched.
-    EXPECT_EQ(out[j * kLd + 5], static_cast<double>(j * kLd + 6));
-    EXPECT_EQ(out[j * kLd + 6], static_cast<double>(j * kLd + 7));
-  }
-  dev_.free(dl1);
-  dev_.free(dl2);
-}
-
-TEST_F(MultiRhsKernels, SingleColumnMatchesSingleRhsKernels) {
-  // nrhs == 1 must reproduce the single-RHS kernels exactly, for both
-  // panel layouts (a one-column panel is a plain vector in either).
-  double* dref1 = dev_.alloc_n<double>(3);
-  double* dref2 = dev_.alloc_n<double>(3);
-  kernels::scatter_batch(s_, dcluster_, {{dmap1_, 3, dref1},
-                                         {dmap2_, 3, dref2}});
-  std::vector<double> ref1(3), ref2(3);
-  s_.memcpy_d2h(ref1.data(), dref1, 3 * sizeof(double));
-  s_.memcpy_d2h(ref2.data(), dref2, 3 * sizeof(double));
-
-  for (la::Layout layout : {la::Layout::RowMajor, la::Layout::ColMajor}) {
-    const idx ld = layout == la::Layout::RowMajor ? 1 : 3;
-    double* dl1 = dev_.alloc_n<double>(3);
-    double* dl2 = dev_.alloc_n<double>(3);
-    kernels::scatter_batch(s_, dcluster_, kLd, 1, layout,
+  // Row-major panels with leading dimension 4 > nrhs: the batch only
+  // touches the first nrhs entries of each panel row. nrhs = 1 is the
+  // single dual vector.
+  const idx ld = 4;
+  for (idx nrhs : {1, 3}) {
+    reset_cluster();
+    double* dl1 = dev_.alloc_n<double>(3 * ld);
+    double* dl2 = dev_.alloc_n<double>(3 * ld);
+    kernels::fill_zero(s_, dl1, 3 * ld);
+    kernels::fill_zero(s_, dl2, 3 * ld);
+    kernels::scatter_batch(s_, dcluster_, kLd, nrhs, la::Layout::RowMajor,
                            {{dmap1_, 3, dl1, ld}, {dmap2_, 3, dl2, ld}});
-    std::vector<double> l1(3), l2(3);
-    s_.memcpy_d2h(l1.data(), dl1, 3 * sizeof(double));
-    s_.memcpy_d2h(l2.data(), dl2, 3 * sizeof(double));
+    std::vector<double> l1(3 * ld), l2(3 * ld);
+    s_.memcpy_d2h(l1.data(), dl1, l1.size() * sizeof(double));
+    s_.memcpy_d2h(l2.data(), dl2, l2.size() * sizeof(double));
     s_.synchronize();
-    EXPECT_EQ(l1, ref1) << la::to_string(layout);
-    EXPECT_EQ(l2, ref2) << la::to_string(layout);
+    for (idx i = 0; i < 3; ++i)
+      for (idx j = 0; j < nrhs; ++j) {
+        // Cluster column j holds values (1 + j*kLd) + index.
+        EXPECT_EQ(l1[i * ld + j], 1.0 + j * kLd + map1_[i])
+            << i << "," << j << " nrhs " << nrhs;
+        EXPECT_EQ(l2[i * ld + j], 1.0 + j * kLd + map2_[i])
+            << i << "," << j << " nrhs " << nrhs;
+        // The ld > nrhs tail stays untouched (zero from fill_zero).
+        EXPECT_EQ(l1[i * ld + nrhs], 0.0);
+      }
 
-    // Gather comparison: run both gathers into separate cluster vectors.
-    double* dga = dev_.alloc_n<double>(kSize);
-    double* dgb = dev_.alloc_n<double>(kSize);
-    kernels::gather_batch(s_, dga, kSize, {{dmap1_, 3, dl1},
-                                           {dmap2_, 3, dl2}});
-    kernels::gather_batch(s_, dgb, kSize, kSize, 1, layout,
+    // Gather: zero-fills the live cluster entries of each column, leaves
+    // the stride gap and the columns beyond nrhs alone, and sums
+    // overlapping dual indices (map index 2 is shared by both subdomains).
+    kernels::gather_batch(s_, dcluster_, kSize, kLd, nrhs,
+                          la::Layout::RowMajor,
                           {{dmap1_, 3, dl1, ld}, {dmap2_, 3, dl2, ld}});
-    std::vector<double> ga(kSize), gb(kSize);
-    s_.memcpy_d2h(ga.data(), dga, kSize * sizeof(double));
-    s_.memcpy_d2h(gb.data(), dgb, kSize * sizeof(double));
-    s_.synchronize();
-    EXPECT_EQ(ga, gb) << la::to_string(layout);
+    std::vector<double> out = read_cluster();
+    for (idx j = 0; j < nrhs; ++j) {
+      const double base = 1.0 + j * kLd;
+      EXPECT_EQ(out[j * kLd + 0], base + 0);        // map1 only
+      EXPECT_EQ(out[j * kLd + 1], base + 1);        // map2 only
+      EXPECT_EQ(out[j * kLd + 2], 2 * (base + 2));  // shared: summed
+      EXPECT_EQ(out[j * kLd + 3], base + 3);        // map2 only
+      EXPECT_EQ(out[j * kLd + 4], base + 4);        // map1 only
+      // The stride gap beyond cluster_size is untouched.
+      EXPECT_EQ(out[j * kLd + 5], static_cast<double>(j * kLd + 6));
+      EXPECT_EQ(out[j * kLd + 6], static_cast<double>(j * kLd + 7));
+    }
+    for (idx i = nrhs * kLd; i < kMaxRhs * kLd; ++i)
+      EXPECT_EQ(out[i], static_cast<double>(i + 1)) << "nrhs " << nrhs;
     dev_.free(dl1);
     dev_.free(dl2);
-    dev_.free(dga);
-    dev_.free(dgb);
   }
-  dev_.free(dref1);
-  dev_.free(dref2);
 }
 
 TEST_F(MultiRhsKernels, ZeroRhsIsANoOp) {

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -406,6 +408,59 @@ TEST(PrecondLifecycle, PcpgOwnedFallbackRejectsGpuKeys) {
   std::vector<double> d(static_cast<std::size_t>(p.num_lambdas));
   op->compute_d(d.data());
   EXPECT_TRUE(pcpg.solve(d).converged);
+}
+
+TEST(PrecondLifecycle, GpuBatchRegrowthSurvivesDeviceOutOfMemory) {
+  // A batch that outgrows the panels must leave no freed panel behind when
+  // the regrowth runs out of device memory: the next narrow apply rebuilds
+  // its panels and reproduces the earlier result, and destruction returns
+  // every byte.
+  gpu::ExecutionContext ctx([] {
+    gpu::DeviceConfig cfg;
+    cfg.worker_threads = 2;
+    cfg.launch_latency_us = 0.0;
+    cfg.memory_bytes = 64ull << 20;
+    return cfg;
+  }());
+  ctx.ensure_workspace();
+  gpu::Device& device = ctx.device();
+  const std::size_t baseline = device.memory_used();
+
+  FetiProblem p = heat2d_problem(8, 2);
+  const idx n = p.num_lambdas;
+  auto m = make_preconditioner(p, "dirichlet stiffness gpu", &ctx);
+  m->prepare();
+  m->update_values();
+
+  Rng rng(7);
+  std::vector<double> x(static_cast<std::size_t>(n) * 64);
+  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> y(x.size());
+  m->apply(x.data(), y.data(), 2);
+  const std::vector<double> first(y.begin(), y.begin() + 2 * n);
+
+  // Exhaust the device down to sub-kilobyte free space.
+  std::vector<double*> grabbed;
+  for (std::size_t chunk = 1ull << 20; chunk >= 64; chunk /= 2) {
+    for (;;) {
+      try {
+        grabbed.push_back(device.alloc_n<double>(chunk));
+      } catch (const std::bad_alloc&) {
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(grabbed.empty());
+  EXPECT_THROW(m->apply(x.data(), y.data(), 64), std::bad_alloc);
+  for (double* ptr : grabbed) device.free(ptr);
+
+  std::fill(y.begin(), y.end(), 0.0);
+  m->apply(x.data(), y.data(), 2);
+  EXPECT_EQ(std::memcmp(first.data(), y.data(), first.size() * sizeof(double)),
+            0);
+
+  m.reset();
+  EXPECT_EQ(device.memory_used(), baseline);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Tests of the orthogonal-axes configuration API, the string-keyed
 // dual-operator registry, and the batched multi-RHS lifecycle: the nine
 // Table-III families and the keys composed from them, axis to_string/parse
-// round-trips, summary composition, and apply(X, Y, nrhs) consistency for
-// every registered key.
+// round-trips, summary composition, apply(X, Y, nrhs) consistency for
+// every registered key, and the bitwise identity of the device apply path
+// (host vs device-resident cluster vectors, CPU vs GPU scatter/gather).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "core/autotune.hpp"
 #include "core/dualop_registry.hpp"
 #include "core/feti_solver.hpp"
+#include "precond/precond_registry.hpp"
 #include "test_helpers.hpp"
 
 namespace feti::core {
@@ -377,6 +379,128 @@ TEST(BatchedApply, MatchesSequentialAppliesForEveryRegisteredKey) {
     EXPECT_EQ(op->loop_fallback_count(), 0)
         << "key '" << key << "' served a batch through the base-class loop";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Device apply path identity
+// ---------------------------------------------------------------------------
+
+/// The widths of the identity matrix; the trailing 3 runs after the widest
+/// batch, so it reuses grown batch panels.
+constexpr idx kIdentityWidths[] = {1, 3, 8, 3};
+
+std::vector<double> random_block(idx n, idx nrhs) {
+  Rng rng(41u + static_cast<unsigned>(nrhs));
+  std::vector<double> x(static_cast<std::size_t>(n) * nrhs);
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  return x;
+}
+
+/// y = A x through apply_device: x staged into a device block of the
+/// object's device_context(), the result copied back.
+template <typename Applied>
+std::vector<double> apply_through_device(Applied& a,
+                                         const std::vector<double>& x,
+                                         idx nrhs) {
+  gpu::ExecutionContext* ctx = a.device_context();
+  EXPECT_NE(ctx, nullptr);
+  if (ctx == nullptr) return {};
+  gpu::Device& dev = ctx->device();
+  gpu::Stream st = ctx->main_stream();
+  const std::size_t bytes = x.size() * sizeof(double);
+  double* d_x = dev.alloc_n<double>(x.size());
+  double* d_y = dev.alloc_n<double>(x.size());
+  st.memcpy_h2d(d_x, x.data(), bytes);
+  st.synchronize();
+  a.apply_device(d_x, d_y, nrhs);
+  std::vector<double> y(x.size());
+  st.memcpy_d2h(y.data(), d_y, bytes);
+  st.synchronize();
+  dev.free(d_x);
+  dev.free(d_y);
+  return y;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DeviceApplyPath, HostApplyMatchesApplyDeviceForEveryGpuKey) {
+  // apply_device drops only the cluster staging copies of the host-pointer
+  // apply: the same scatter, local kernels (SYMV at width 1, SYMM above)
+  // and gather run, so the results agree bit for bit.
+  FetiProblem p = heat2d_problem(6, 2);
+  auto& registry = DualOperatorRegistry::instance();
+  const idx n = p.num_lambdas;
+  int gpu_keys = 0;
+  for (const std::string& key : registry.keys()) {
+    if (!registry.uses_gpu(key)) continue;
+    ++gpu_keys;
+    DualOpConfig cfg = recommend_config(key, 2, p.max_subdomain_dofs());
+    auto op = registry.create(key, p, cfg, &test_context());
+    op->prepare();
+    op->update_values();
+    for (idx nrhs : kIdentityWidths) {
+      const std::vector<double> x = random_block(n, nrhs);
+      std::vector<double> y_host(x.size(), 0.0);
+      op->apply(x.data(), y_host.data(), nrhs);
+      EXPECT_TRUE(bitwise_equal(y_host, apply_through_device(*op, x, nrhs)))
+          << "key " << key << " nrhs " << nrhs;
+    }
+  }
+  EXPECT_EQ(gpu_keys, 42);
+}
+
+TEST(DeviceApplyPath, CpuScatterGatherMatchesGpuForEveryGpuKey) {
+  // The two scatter/gather placements of Section IV-C move the same values
+  // in the same accumulation order; only where the copies run differs.
+  FetiProblem p = heat2d_problem(6, 2);
+  auto& registry = DualOperatorRegistry::instance();
+  const idx n = p.num_lambdas;
+  for (const std::string& key : registry.keys()) {
+    if (!registry.uses_gpu(key)) continue;
+    auto make = [&](SgLocation where) {
+      DualOpConfig cfg = recommend_config(key, 2, p.max_subdomain_dofs());
+      cfg.gpu.scatter_gather = where;
+      auto op = registry.create(key, p, cfg, &test_context());
+      op->prepare();
+      op->update_values();
+      return op;
+    };
+    auto on_cpu = make(SgLocation::Cpu);
+    auto on_gpu = make(SgLocation::Gpu);
+    for (idx nrhs : kIdentityWidths) {
+      const std::vector<double> x = random_block(n, nrhs);
+      std::vector<double> y_cpu(x.size(), 0.0), y_gpu(x.size(), 0.0);
+      on_cpu->apply(x.data(), y_cpu.data(), nrhs);
+      on_gpu->apply(x.data(), y_gpu.data(), nrhs);
+      EXPECT_TRUE(bitwise_equal(y_cpu, y_gpu))
+          << "key " << key << " nrhs " << nrhs;
+    }
+  }
+}
+
+TEST(DeviceApplyPath, GpuPreconditionerHostMatchesDevice) {
+  FetiProblem p = heat2d_problem(6, 2);
+  auto& registry = precond::PreconditionerRegistry::instance();
+  const idx n = p.num_lambdas;
+  int gpu_keys = 0;
+  for (const std::string& key : registry.keys()) {
+    if (!registry.uses_gpu(key)) continue;
+    ++gpu_keys;
+    auto m = precond::make_preconditioner(p, key, &test_context());
+    m->prepare();
+    m->update_values();
+    for (idx nrhs : kIdentityWidths) {
+      const std::vector<double> x = random_block(n, nrhs);
+      std::vector<double> y_host(x.size(), 0.0);
+      m->apply(x.data(), y_host.data(), nrhs);
+      EXPECT_TRUE(bitwise_equal(y_host, apply_through_device(*m, x, nrhs)))
+          << "key " << key << " nrhs " << nrhs;
+    }
+  }
+  EXPECT_EQ(gpu_keys, 9);
 }
 
 TEST(MixedPrecision, F32KeysMatchTheirF64SiblingsForEveryBatchWidth) {
