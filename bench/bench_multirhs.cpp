@@ -7,8 +7,7 @@
 // to the application phase.
 //
 // `--quick` runs the CI smoke configuration: nrhs ≤ 4 on a smaller
-// problem, still end-to-end through every family (and one sharded key),
-// and fails if any batch degrades to the base-class loop of single
+// problem, still end-to-end through every family, and fails if any batch degrades to the base-class loop of single
 // applies (loop_fallback_count() != 0).
 
 #include <cstring>
@@ -28,8 +27,7 @@ int main(int argc, char** argv) {
   const std::vector<idx> nrhs_sweep =
       quick ? std::vector<idx>{1, 2, 4} : std::vector<idx>{1, 2, 4, 8, 16};
   const std::vector<std::string> keys = {
-      "expl legacy", "expl modern", "impl legacy", "impl modern",
-      "expl legacy x2"};
+      "expl legacy", "expl modern", "impl legacy", "impl modern"};
 
   BuiltProblem bp = build_problem(2, fem::Physics::HeatTransfer,
                                   quick ? 8 : 16, mesh::ElementOrder::Linear);

@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   gpu::ExecutionContext& ctx = shared_context();
   const std::vector<std::string> keys =
       quick ? std::vector<std::string>{"expl legacy"}
-            : std::vector<std::string>{"expl legacy", "expl hybrid",
-                                       "expl legacy x2"};
+            : std::vector<std::string>{"expl legacy", "expl hybrid"};
 
   // 3D: the 2x2x2 subdomain grid's face interfaces give a dual space large
   // enough that one multiplier vector dwarfs the scalar budget (the

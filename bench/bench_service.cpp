@@ -42,8 +42,7 @@ namespace {
 /// (F is singular beyond the coarse space, so PCPG would stall on the
 /// inconsistent component).
 std::vector<double> physical_d(const decomp::FetiProblem& p) {
-  auto cfg = core::recommend_config("impl mkl", 2, p.max_subdomain_dofs(), 1,
-                                    gpu::DeviceTopology{1, 0});
+  auto cfg = core::recommend_config("impl mkl", 2, p.max_subdomain_dofs());
   auto op = core::make_dual_operator(p, cfg, nullptr);
   op->prepare();
   op->update_values();

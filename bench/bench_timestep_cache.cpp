@@ -29,11 +29,10 @@ int main(int argc, char** argv) {
 
   gpu::ExecutionContext& device = shared_context();
   const std::vector<std::string> keys =
-      quick ? std::vector<std::string>{"expl legacy", "impl mkl",
-                                       "expl legacy x2"}
+      quick ? std::vector<std::string>{"expl legacy", "impl mkl"}
             : std::vector<std::string>{"expl legacy", "expl modern",
                                        "impl legacy", "impl mkl", "expl mkl",
-                                       "expl hybrid", "expl legacy x2"};
+                                       "expl hybrid"};
   const int steps = quick ? 8 : 12;
   const int change_every = 4;  // K changes on steps 0, 4, 8, ...
 
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
         full_ms += ms;
         ++full_steps;
         // A dirty step must refresh without leaving stale subdomains: a
-        // whole-problem change refreshes the whole (owned) set.
+        // whole-problem change refreshes every subdomain.
         if (after.skipped_subdomains != before.skipped_subdomains)
           cached_steps_clean = false;
       }

@@ -191,8 +191,8 @@ void pool_stats_dry_run(const decomp::FetiProblem& problem, int dim,
     service::SolveJob job;
     job.problem = &problem;
     job.key = requested[j];
-    const core::DualOpConfig cfg = service::SolverService::plan_config(
-        job, dim, gpu::DeviceTopology{1, 0}, remaining, budget);
+    const core::DualOpConfig cfg =
+        service::SolverService::plan_config(job, dim, remaining, budget);
     const std::size_t bytes = entry_bytes(cfg);
     table.add_row({std::to_string(j),
                    job.key.empty() ? "(auto)" : job.key.c_str(),

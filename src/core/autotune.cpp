@@ -55,11 +55,11 @@ ExplicitGpuOptions recommend_options(gpu::sparse::Api api, int dim,
 namespace {
 
 /// Whether an explicit-family workload should demote F̃ storage to fp32:
-/// the fp64 footprint overflows the per-shard memory budget (while fp32
-/// fits — when even fp32 overflows, precision cannot save the run and the
+/// the fp64 footprint overflows the memory budget (while fp32 fits — when
+/// even fp32 overflows, precision cannot save the run and the
 /// recommendation stays fp64), or the caller declared the apply phase
 /// bandwidth-bound.
-bool prefer_f32(const WorkloadHint& w, int shards) {
+bool prefer_f32(const WorkloadHint& w) {
   if (w.bandwidth_bound) return true;
   if (w.memory_budget_bytes == 0 || w.num_subdomains <= 0 ||
       w.lambdas_per_subdomain <= 0)
@@ -68,9 +68,8 @@ bool prefer_f32(const WorkloadHint& w, int shards) {
       static_cast<std::size_t>(w.num_subdomains) *
       static_cast<std::size_t>(w.lambdas_per_subdomain) *
       static_cast<std::size_t>(w.lambdas_per_subdomain);
-  const std::size_t budget =
-      w.memory_budget_bytes * static_cast<std::size_t>(std::max(1, shards));
-  return blocks * sizeof(double) > budget && blocks * sizeof(float) <= budget;
+  return blocks * sizeof(double) > w.memory_budget_bytes &&
+         blocks * sizeof(float) <= w.memory_budget_bytes;
 }
 
 /// Whether an explicit-family workload should switch to the sparsity-aware
@@ -108,16 +107,13 @@ std::string recommend_preconditioner(const WorkloadHint& workload,
 
 DualOpConfig recommend_config(const ApproachAxes& axes, int dim,
                               idx dofs_per_subdomain, int nrhs_hint,
-                              const gpu::DeviceTopology& topology,
                               const WorkloadHint& workload) {
   DualOpConfig cfg;
-  const int shards =
-      topology.num_devices >= 4 ? 4 : (topology.num_devices >= 2 ? 2 : 1);
   // Precision choice: only the explicit families carry F̃ storage, and a
   // caller that already pinned F32 on the axes keeps it.
   ApproachAxes chosen = axes;
   if (chosen.repr == Representation::Explicit &&
-      chosen.precision == Precision::F64 && prefer_f32(workload, shards))
+      chosen.precision == Precision::F64 && prefer_f32(workload))
     chosen.precision = Precision::F32;
   // Sparsity choice: interior-heavy subdomains (small measured boundary
   // fraction) get the boundary-restricted assembly; a caller that already
@@ -125,27 +121,17 @@ DualOpConfig recommend_config(const ApproachAxes& axes, int dim,
   if (chosen.repr == Representation::Explicit && !chosen.sparsity &&
       prefer_sparsity(workload))
     chosen.sparsity = true;
-  // Multi-device topologies route every device-backed family (explicit,
-  // implicit, and hybrid all compose with " xN") to the largest sharded
-  // variant the topology can feed.
-  if (axes.device != ExecDevice::Cpu && topology.num_devices >= 2)
-    chosen.shards = shards;
   cfg.select(chosen);
   if (axes.device == ExecDevice::Cpu) return cfg;
   cfg.gpu = recommend_options(axes.api, dim, dofs_per_subdomain, nrhs_hint);
-  if (topology.streams_per_device > 0)
-    cfg.gpu.streams =
-        gpu::ExecutionContext::clamp_streams(topology.streams_per_device);
   return cfg;
 }
 
 DualOpConfig recommend_config(std::string_view key, int dim,
-                              idx dofs_per_subdomain, int nrhs_hint,
-                              const gpu::DeviceTopology& topology) {
-  DualOpConfig cfg = recommend_config(parse_axes(key), dim,
-                                      dofs_per_subdomain, nrhs_hint, topology);
-  // The caller picked a concrete implementation; keep it selected even
-  // where the topology remap would have chosen another variant.
+                              idx dofs_per_subdomain, int nrhs_hint) {
+  DualOpConfig cfg =
+      recommend_config(parse_axes(key), dim, dofs_per_subdomain, nrhs_hint);
+  // The caller picked a concrete implementation; keep it selected.
   cfg.key = std::string(key);
   return cfg;
 }

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/config.hpp"
-#include "gpu/context.hpp"
 
 namespace feti::core {
 
@@ -72,27 +71,19 @@ std::string recommend_preconditioner(const WorkloadHint& workload,
 /// assembly parameters for that tuple's sparse API generation. CPU axes
 /// keep the defaults (the explicit CPU paths have no Table-I knobs).
 ///
-/// `topology` is the device-topology hint: with num_devices >= 2 the
-/// device-backed axes resolve to the largest sharded variant ("expl
-/// legacy x2" / "x4") that the topology can feed, and a non-zero
-/// streams_per_device overrides the worker-stream count (the paper uses
-/// one stream per OpenMP thread).
-///
 /// `workload` feeds the precision choice for the explicit families: when
-/// the fp64 F̃ footprint would overflow the stated memory budget (per
-/// shard, after the topology split) or the workload is declared
-/// bandwidth-bound, the fp32 storage variant (" f32" key) is selected —
-/// fp32 halves both the footprint and the bytes streamed per apply. A
-/// caller that pinned the precision on `axes` keeps it.
+/// the fp64 F̃ footprint would overflow the stated memory budget or the
+/// workload is declared bandwidth-bound, the fp32 storage variant (" f32"
+/// key) is selected — fp32 halves both the footprint and the bytes
+/// streamed per apply. A caller that pinned the precision on `axes` keeps
+/// it.
 DualOpConfig recommend_config(const ApproachAxes& axes, int dim,
                               idx dofs_per_subdomain, int nrhs_hint = 1,
-                              const gpu::DeviceTopology& topology = {},
                               const WorkloadHint& workload = {});
 
 /// Key-based overload: recommends for parse_axes(key) and keeps `key`
-/// itself selected, whatever the topology would have chosen.
+/// itself selected, whatever the workload hint would have chosen.
 DualOpConfig recommend_config(std::string_view key, int dim,
-                              idx dofs_per_subdomain, int nrhs_hint = 1,
-                              const gpu::DeviceTopology& topology = {});
+                              idx dofs_per_subdomain, int nrhs_hint = 1);
 
 }  // namespace feti::core

@@ -1,6 +1,5 @@
 #include "core/config.hpp"
 
-#include <charconv>
 #include <stdexcept>
 
 #include "util/common.hpp"
@@ -72,10 +71,6 @@ bool ApproachAxes::valid() const {
   // Sparsity-aware assembly restricts the RHS panel of the explicit
   // assembly solve; the implicit families never form that panel.
   if (sparsity && repr != Representation::Explicit) return false;
-  // Sharding partitions the subdomains across 2 or 4 virtual devices; the
-  // CPU families have no device to shard across.
-  if (shards != 1 && shards != 2 && shards != 4) return false;
-  if (shards != 1 && device == ExecDevice::Cpu) return false;
   switch (device) {
     case ExecDevice::Cpu:
       return true;  // any representation x backend pairing exists on the CPU
@@ -100,7 +95,6 @@ std::string ApproachAxes::key() const {
   }
   if (sparsity) out += " sp";
   if (precision == Precision::F32) out += " f32";
-  if (shards > 1) out += " x" + std::to_string(shards);
   return out;
 }
 
@@ -117,7 +111,6 @@ std::string ApproachAxes::describe() const {
   out += '/';
   out += to_string(precision);
   if (sparsity) out += "/sp";
-  if (shards > 1) out += "/x" + std::to_string(shards);
   return out;
 }
 
@@ -126,26 +119,15 @@ ApproachAxes parse_axes(std::string_view key) {
   const auto fail = [&] {
     throw std::invalid_argument(bad_token("parse_axes", full_key));
   };
-  // "<repr> <variant>[ sp][ f32][ xN]": strip the optional suffixes from the
-  // back, then parse the family key. Non-canonical spellings ("x1", "x02",
-  // suffixes out of order) fail the final round-trip check.
+  // "<repr> <variant>[ sp][ f32]": strip the optional suffixes from the
+  // back, then parse the family key. Non-canonical spellings (suffixes out
+  // of order) fail the final round-trip check.
   ApproachAxes axes;
   const auto strip = [&key](std::string_view suffix) {
     if (key.size() <= suffix.size() || !key.ends_with(suffix)) return false;
     key.remove_suffix(suffix.size());
     return true;
   };
-  const std::size_t x = key.rfind(" x");
-  if (x != std::string_view::npos) {
-    const std::string_view digits = key.substr(x + 2);
-    const char* const last = digits.data() + digits.size();
-    int shards = 0;
-    const auto [end, ec] = std::from_chars(digits.data(), last, shards);
-    if (ec == std::errc() && end == last) {
-      axes.shards = shards;
-      key = key.substr(0, x);
-    }
-  }
   if (strip(" f32")) axes.precision = Precision::F32;
   axes.sparsity = strip(" sp");
   const std::size_t space = key.find(' ');

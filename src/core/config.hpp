@@ -19,10 +19,9 @@
 //                     paths);
 //   gpu::sparse::Api — legacy vs modern sparse API generation (GPU only).
 //
-// Three more compose with every family where valid(): sparsity-aware
-// assembly and fp32 F̃ storage (explicit only), and sharding across 2 or 4
-// virtual devices (device-backed only). parse_axes() and
-// ApproachAxes::key() are the only code that reads or spells a key.
+// Two more compose with every explicit family: sparsity-aware assembly and
+// fp32 F̃ storage. parse_axes() and ApproachAxes::key() are the only code
+// that reads or spells a key.
 
 #include <string>
 #include <string_view>
@@ -91,16 +90,13 @@ struct ApproachAxes {
   /// fraction. Valid only with Explicit (the implicit families never form
   /// an RHS panel).
   bool sparsity = false;
-  /// Number of virtual devices the subdomains are sharded across: 1, or
-  /// 2 or 4 when device != Cpu (one partial operator per shard).
-  int shards = 1;
 
   bool operator==(const ApproachAxes&) const = default;
 
   [[nodiscard]] bool valid() const;
   /// The registry key, e.g. "impl mkl" or "expl legacy": the family key,
-  /// then " sp" for the sparsity-aware variant, " f32" for F32 precision
-  /// and " xN" for N shards, in that order ("expl legacy sp f32 x2").
+  /// then " sp" for the sparsity-aware variant and " f32" for F32
+  /// precision, in that order ("expl legacy sp f32").
   /// Requires valid().
   [[nodiscard]] std::string key() const;
   /// Human-readable axis dump, e.g. "explicit/gpu/simplicial/legacy".
@@ -108,7 +104,7 @@ struct ApproachAxes {
 };
 
 /// Parses a registry key ("expl legacy", "impl cholmod", "expl mkl f32",
-/// "expl legacy sp", "expl hybrid sp f32 x4", ...) back into its axis
+/// "expl legacy sp", "expl hybrid sp f32", ...) back into its axis
 /// tuple; parse_axes(k).key() == k for every accepted key. Throws
 /// std::invalid_argument for unknown or non-canonical spellings.
 ApproachAxes parse_axes(std::string_view key);

@@ -55,11 +55,6 @@ DualOperator::UpdatePlan DualOperator::begin_update() {
   return tracker_.begin(p_, cache_stats_);
 }
 
-DualOperator::UpdatePlan DualOperator::begin_update(
-    const std::vector<idx>& owned) {
-  return tracker_.begin(p_, owned, cache_stats_);
-}
-
 void DualOperator::end_update(const UpdatePlan& plan) {
   tracker_.end(p_, plan, cache_stats_);
 }

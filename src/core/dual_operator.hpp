@@ -111,8 +111,7 @@ class DualOperator {
   void apply_device(const double* d_x, double* d_y, idx nrhs = 1);
 
   /// The registry key the operator was created under (set by
-  /// DualOperatorRegistry::create; empty for operators built directly,
-  /// such as the per-shard partial operators of an " xN" key).
+  /// DualOperatorRegistry::create; empty for operators built directly).
   [[nodiscard]] const char* name() const { return name_.c_str(); }
 
   /// x = K^+ b for one subdomain (valid after update_values()).
@@ -135,22 +134,19 @@ class DualOperator {
   /// apply_one instead of a real block implementation. Every built-in
   /// operator overrides apply_many (the GPU families device-side), so this
   /// stays 0 for them — asserted by the batched-consistency test matrix;
-  /// out-of-tree operators that inherit the loop count here. Wrappers
-  /// (e.g. the sharded multi-device operator) aggregate their inner
-  /// operators' counts. Accumulates from construction; never resets.
+  /// out-of-tree operators that inherit the loop count here. Accumulates
+  /// from construction; never resets.
   /// Safe to read from any thread while another thread is applying.
-  [[nodiscard]] virtual long loop_fallback_count() const {
+  [[nodiscard]] long loop_fallback_count() const {
     return loop_fallbacks_.load(std::memory_order_relaxed);
   }
 
   /// Time-step cache counters: how many update_values() steps and
   /// per-subdomain refreshes were served from cache vs recomputed.
-  /// Accumulates from construction; never resets. The sharded wrapper
-  /// aggregates over its shards (steps/skipped_steps are wrapper-level,
-  /// subdomain counts are summed over the disjoint shard subsets).
+  /// Accumulates from construction; never resets.
   /// Safe to read from any thread while the lifecycle thread is inside
   /// update_values() (see AtomicCacheStats for the snapshot semantics).
-  [[nodiscard]] virtual CacheStats cache_stats() const {
+  [[nodiscard]] CacheStats cache_stats() const {
     return cache_stats_.snapshot();
   }
 
@@ -158,7 +154,7 @@ class DualOperator {
   /// assembled F̃ᵢ blocks for the explicit families (fp32 storage halves
   /// this), 0 when unknown (implicit families, out-of-tree operators).
   /// Valid after prepare(); benches divide by the measured apply time for
-  /// achieved GB/s. The sharded wrapper sums over its shards.
+  /// achieved GB/s.
   [[nodiscard]] virtual std::size_t apply_bytes() const { return 0; }
 
   /// Total K⁻¹ solve columns performed by the explicit assembly across all
@@ -166,10 +162,10 @@ class DualOperator {
   /// counts its full dual width m, a sparsity-aware ("sp") refresh counts
   /// only the boundary width nb. Deterministic (counted, not timed), so
   /// benches can gate the boundary-fraction reduction of the sp variants.
-  /// Implicit families perform no assembly solves and stay 0. The sharded
-  /// wrapper sums over its shards. Accumulates from construction; never
-  /// resets. Safe to read concurrently with update_values().
-  [[nodiscard]] virtual long solve_columns() const {
+  /// Implicit families perform no assembly solves and stay 0. Accumulates
+  /// from construction; never resets. Safe to read concurrently with
+  /// update_values().
+  [[nodiscard]] long solve_columns() const {
     return solve_columns_.load(std::memory_order_relaxed);
   }
 
@@ -193,10 +189,8 @@ class DualOperator {
 
   /// Computes the dirty subset at the top of an update_values()
   /// implementation and counts the step in cache_stats() (a step with an
-  /// empty dirty set counts as skipped). The owned-subset overload serves
-  /// partial operators (sharding); the plain one tracks all subdomains.
+  /// empty dirty set counts as skipped).
   UpdatePlan begin_update();
-  UpdatePlan begin_update(const std::vector<idx>& owned);
   /// Commits the refreshed versions/hashes at the bottom of a successful
   /// update_values(); not reached on exception, so a failed refresh is
   /// retried in full on the next step.

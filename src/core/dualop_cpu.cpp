@@ -555,34 +555,33 @@ std::unique_ptr<DualOperator> make_explicit_cpu_trsm(
 
 void register_cpu_dual_operators(DualOperatorRegistry& registry) {
   // The explicit families compose with the " sp" and " f32" axes; the
-  // factories read both off the parsed key. CPU families never shard, so
-  // `owned` is always empty.
+  // factories read both off the parsed key.
   registry.add(
       {"impl mkl", parse_axes("impl mkl"),
        "implicit application, supernodal (PARDISO-like) solver on the CPU"},
       [](const decomp::FetiProblem& p, const DualOpConfig& c,
-         const ApproachAxes&, gpu::ExecutionContext*, std::vector<idx>) {
+         const ApproachAxes&, gpu::ExecutionContext*) {
         return make_implicit_cpu(p, sparse::Backend::Supernodal, c.ordering);
       });
   registry.add(
       {"impl cholmod", parse_axes("impl cholmod"),
        "implicit application, simplicial (CHOLMOD-like) solver on the CPU"},
       [](const decomp::FetiProblem& p, const DualOpConfig& c,
-         const ApproachAxes&, gpu::ExecutionContext*, std::vector<idx>) {
+         const ApproachAxes&, gpu::ExecutionContext*) {
         return make_implicit_cpu(p, sparse::Backend::Simplicial, c.ordering);
       });
   registry.add(
       {"expl mkl", parse_axes("expl mkl"),
        "explicit F̃ via the augmented Schur complement on the CPU"},
       [](const decomp::FetiProblem& p, const DualOpConfig& c,
-         const ApproachAxes& a, gpu::ExecutionContext*, std::vector<idx>) {
+         const ApproachAxes& a, gpu::ExecutionContext*) {
         return make_explicit_cpu_schur(p, c.ordering, a.precision, a.sparsity);
       });
   registry.add(
       {"expl cholmod", parse_axes("expl cholmod"),
        "explicit F̃ via factor extraction + dense TRSM on the CPU"},
       [](const decomp::FetiProblem& p, const DualOpConfig& c,
-         const ApproachAxes& a, gpu::ExecutionContext*, std::vector<idx>) {
+         const ApproachAxes& a, gpu::ExecutionContext*) {
         return make_explicit_cpu_trsm(p, c.ordering, a.precision, a.sparsity);
       });
 }

@@ -12,20 +12,13 @@
 //    triangular solves + SpMV per subdomain.
 //  * HybridDualOp — the prior-work baseline: assembly via the CPU Schur
 //    path ("expl mkl"), application on the GPU.
-//  * ShardedDualOp — multi-GPU sharding: subdomains partitioned across the
-//    per-shard contexts of a gpu::DevicePool, one partial operator per
-//    shard; dual results merge by summation because the dual gather is
-//    additive. Registered for all three families ("expl legacy x2",
-//    "impl modern x4", "expl hybrid x2", ...); whole batches are forwarded
-//    to every shard, so the sharded path reaches the same device-side
-//    batched apply as the single-device operators.
 //
-// The three single-device families share one base (GpuDualOpBase): it owns
-// the execution context, the owned subdomain subset, the streams and the
-// per-subdomain loop of prepare()/update_values(), and serves every apply
-// entry point (host or device cluster vectors, any width, either
-// scatter/gather placement) through the one device apply path of
-// core/gpu_dual_vectors.hpp. A family writes only its algebra: its
+// Each operator runs all of its subdomains on one device. The three
+// families share one base (GpuDualOpBase): it owns the execution context,
+// the streams and the per-subdomain loop of prepare()/update_values(), and
+// serves every apply entry point (host or device cluster vectors, any
+// width, either scatter/gather placement) through the one device apply
+// path of core/gpu_dual_vectors.hpp. A family writes only its algebra: its
 // pattern-only setup, its per-subdomain numeric refresh, and one local
 // kernel.
 //
@@ -35,9 +28,8 @@
 
 #include <omp.h>
 
-#include <exception>
 #include <map>
-#include <thread>
+#include <numeric>
 #include <type_traits>
 
 #include "core/dualop_impls.hpp"
@@ -57,7 +49,7 @@ namespace feti::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared scaffolding of the single-device GPU families
+// Shared scaffolding of the GPU families
 // ---------------------------------------------------------------------------
 
 /// Everything the explicit, implicit and hybrid GPU families share. The
@@ -84,7 +76,7 @@ class GpuDualOpBase : public DualOperator {
     main_stream_ = ctx_.main_stream();
     streams_ = ctx_.stream_span(requested_streams_);
     prepare_family();
-    vectors_.prepare(dev_, main_stream_, p_, owned_);
+    vectors_.prepare(dev_, main_stream_, p_);
     dev_.synchronize();
     // Remaining device memory feeds the temporary-buffer pool (Sec. IV-A).
     ctx_.ensure_workspace();
@@ -92,7 +84,7 @@ class GpuDualOpBase : public DualOperator {
 
   void update_values() final {
     ScopedTimer t(timings_, "update_values");
-    const UpdatePlan plan = begin_update(owned_);
+    const UpdatePlan plan = begin_update();
     if (plan.skip()) return;
     for_each_subdomain(plan.dirty,
                        [this](idx s, gpu::Stream& st) { refresh(s, st); });
@@ -108,10 +100,8 @@ class GpuDualOpBase : public DualOperator {
   using Panel = gpu::DeviceDenseT<T>;
 
   GpuDualOpBase(const decomp::FetiProblem& p, gpu::ExecutionContext& ctx,
-                std::vector<idx> owned, int streams,
-                SgLocation scatter_gather)
+                int streams, SgLocation scatter_gather)
       : DualOperator(p), ctx_(ctx), dev_(ctx.device()),
-        owned_(resolve_owned(p, std::move(owned))),
         requested_streams_(streams), scatter_gather_(scatter_gather) {}
 
   virtual void prepare_family() = 0;
@@ -137,6 +127,14 @@ class GpuDualOpBase : public DualOperator {
     guard.rethrow();
   }
 
+  /// for_each_subdomain over every subdomain (the pattern-only setup).
+  template <typename F>
+  void for_each_subdomain(F&& f) {
+    std::vector<idx> all(static_cast<std::size_t>(p_.num_subdomains()));
+    std::iota(all.begin(), all.end(), 0);
+    for_each_subdomain(all, std::forward<F>(f));
+  }
+
   void apply_one(const double* x, double* y) final { apply_host(x, y, 1); }
 
   void apply_many(const double* x, double* y, idx nrhs) final {
@@ -155,7 +153,6 @@ class GpuDualOpBase : public DualOperator {
 
   gpu::ExecutionContext& ctx_;
   gpu::Device& dev_;
-  std::vector<idx> owned_;
   std::vector<gpu::Stream> streams_;
 
  private:
@@ -195,7 +192,6 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
   using typename Base::Panel;
   using Base::ctx_;
   using Base::dev_;
-  using Base::owned_;
   using Base::p_;
   using Base::solve_columns_;
 
@@ -203,8 +199,8 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
   ExplicitGpuDualOpT(const decomp::FetiProblem& p, gpu::sparse::Api api,
                      const ExplicitGpuOptions& opt,
                      sparse::OrderingKind ordering, gpu::ExecutionContext& ctx,
-                     std::vector<idx> owned, bool sparsity)
-      : Base(p, ctx, std::move(owned), opt.streams, opt.scatter_gather),
+                     bool sparsity)
+      : Base(p, ctx, opt.streams, opt.scatter_gather),
         api_(api), opt_(opt), ordering_(ordering), sparsity_(sparsity) {}
 
   ~ExplicitGpuDualOpT() override {
@@ -220,8 +216,6 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
   }
 
   void kplus_solve(idx sub, const double* b, double* x) const override {
-    check(solvers_[sub] != nullptr,
-          "ExplicitGpuDualOp: subdomain not owned by this operator");
     solvers_[sub]->solve(b, x);
   }
 
@@ -243,8 +237,6 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
  private:
   void prepare_family() override {
     const std::size_t nsub = static_cast<std::size_t>(p_.num_subdomains());
-    // Per-subdomain state is indexed globally; only owned entries are
-    // populated (the sharded wrapper routes each subdomain to its owner).
     solvers_.resize(nsub);
     bperm_host_.resize(nsub);
     bperm_dev_.resize(nsub);
@@ -264,7 +256,7 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
         opt_.fwd_storage == FactorStorage::Dense ||
         (!sparsity_ && opt_.path == Path::Trsm &&
          opt_.bwd_storage == FactorStorage::Dense);
-    this->for_each_subdomain(owned_, [&](idx s, gpu::Stream& st) {
+    this->for_each_subdomain([&](idx s, gpu::Stream& st) {
       const auto& fs = p_.sub[s];
       // Symbolic factorization on the CPU.
       solvers_[s] = std::make_unique<sparse::SimplicialCholesky>();
@@ -442,10 +434,10 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
     }
   }
 
-  /// Allocates the persistent F̃ᵢ buffers for the owned subdomains. With
-  /// the SYRK path and symmetric_pack enabled, equally sized subdomains are
-  /// paired and the upper triangle of one shares a (m+1)-leading-dimension
-  /// allocation with the lower triangle of the other (paper footnote 1):
+  /// Allocates the persistent F̃ᵢ buffers. With the SYRK path and
+  /// symmetric_pack enabled, equally sized subdomains are paired and the
+  /// upper triangle of one shares a (m+1)-leading-dimension allocation
+  /// with the lower triangle of the other (paper footnote 1):
   /// A's (i,j), i<=j, lives at i + j(m+1), B's (i,j), i>=j, at
   /// 1 + i + j(m+1) — disjoint.
   void allocate_f() {
@@ -460,7 +452,7 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
         opt_.symmetric_pack && opt_.path == Path::Syrk && !sparsity_;
 
     std::map<idx, std::vector<idx>> by_size;
-    for (idx s : owned_)
+    for (idx s = 0; s < p_.num_subdomains(); ++s)
       by_size[p_.sub[s].num_local_lambdas()].push_back(s);
 
     for (auto& [m, subs] : by_size) {
@@ -616,8 +608,8 @@ class ImplicitGpuDualOp final : public GpuDualOpBase<double> {
  public:
   ImplicitGpuDualOp(const decomp::FetiProblem& p, gpu::sparse::Api api,
                     sparse::OrderingKind ordering, gpu::ExecutionContext& ctx,
-                    int streams, std::vector<idx> owned)
-      : GpuDualOpBase(p, ctx, std::move(owned), streams, SgLocation::Gpu),
+                    int streams)
+      : GpuDualOpBase(p, ctx, streams, SgLocation::Gpu),
         api_(api), ordering_(ordering) {}
 
   ~ImplicitGpuDualOp() override {
@@ -628,8 +620,6 @@ class ImplicitGpuDualOp final : public GpuDualOpBase<double> {
   }
 
   void kplus_solve(idx sub, const double* b, double* x) const override {
-    check(solvers_[sub] != nullptr,
-          "ImplicitGpuDualOp: subdomain not owned by this operator");
     solvers_[sub]->solve(b, x);
   }
 
@@ -645,7 +635,7 @@ class ImplicitGpuDualOp final : public GpuDualOpBase<double> {
     batch_bwd_plan_.resize(nsub);
     tmp_dev_.resize(nsub);
     tmpblk_dev_.resize(nsub);
-    for_each_subdomain(owned_, [&](idx s, gpu::Stream& st) {
+    for_each_subdomain([&](idx s, gpu::Stream& st) {
       const auto& fs = p_.sub[s];
       solvers_[s] = std::make_unique<sparse::SimplicialCholesky>();
       solvers_[s]->analyze(fs.k_reg, ordering_);
@@ -720,13 +710,13 @@ class ImplicitGpuDualOp final : public GpuDualOpBase<double> {
     if (nrhs == 1 || batch_cols_ >= nrhs) return;
     const idx cap = nrhs;
     batch_cols_ = 0;  // a bad_alloc below leaves a full rebuild pending
-    for (std::size_t k = 0; k < owned_.size(); ++k) {
-      const idx s = owned_[k];
+    for (idx s = 0; s < p_.num_subdomains(); ++s) {
       const idx n = p_.sub[s].ndof();
-      // Same local-index stream assignment as every other per-subdomain
-      // loop; plan construction is synchronous (the SpTrsmPlan constructor
-      // drains its stream), so the plans are complete when this returns.
-      gpu::Stream st = streams_[k % streams_.size()];
+      // Same stream assignment as every other per-subdomain loop; plan
+      // construction is synchronous (the SpTrsmPlan constructor drains its
+      // stream), so the plans are complete when this returns.
+      gpu::Stream st =
+          streams_[static_cast<std::size_t>(s) % streams_.size()];
       const la::Csr& u = solvers_[s]->factor_upper();
       batch_fwd_plan_[s] = gpu::sparse::SpTrsmPlan(
           dev_, st, api_, u, la::Layout::ColMajor, /*forward=*/true,
@@ -767,15 +757,14 @@ class HybridDualOpT final : public GpuDualOpBase<T> {
   using Base = GpuDualOpBase<T>;
   using typename Base::Panel;
   using Base::dev_;
-  using Base::owned_;
   using Base::p_;
   using Base::solve_columns_;
 
  public:
   HybridDualOpT(const decomp::FetiProblem& p, const ExplicitGpuOptions& opt,
                 sparse::OrderingKind ordering, gpu::ExecutionContext& ctx,
-                std::vector<idx> owned, bool sparsity)
-      : Base(p, ctx, std::move(owned), opt.streams, opt.scatter_gather),
+                bool sparsity)
+      : Base(p, ctx, opt.streams, opt.scatter_gather),
         ordering_(ordering), sparsity_(sparsity) {}
 
   ~HybridDualOpT() override {
@@ -784,8 +773,6 @@ class HybridDualOpT final : public GpuDualOpBase<T> {
   }
 
   void kplus_solve(idx sub, const double* b, double* x) const override {
-    check(solvers_[sub] != nullptr,
-          "HybridDualOp: subdomain not owned by this operator");
     solvers_[sub]->solve(b, x);
   }
 
@@ -804,7 +791,7 @@ class HybridDualOpT final : public GpuDualOpBase<T> {
     f_host_.resize(nsub);
     f_dev_.resize(nsub);
     if constexpr (std::is_same_v<T, float>) f_host32_.resize(nsub);
-    this->for_each_subdomain(owned_, [&](idx s, gpu::Stream&) {
+    this->for_each_subdomain([&](idx s, gpu::Stream&) {
       const auto& fs = p_.sub[s];
       solvers_[s] = std::make_unique<sparse::SupernodalCholesky>();
       if (sparsity_) {
@@ -888,259 +875,42 @@ class HybridDualOpT final : public GpuDualOpBase<T> {
 
 using HybridDualOp = HybridDualOpT<double>;
 
-// ---------------------------------------------------------------------------
-// Sharded multi-device wrapper
-// ---------------------------------------------------------------------------
-
-/// Partitions the subdomains across the shards of a gpu::DevicePool and
-/// delegates to one partial operator per shard. Each partial operator
-/// produces the contributions of its own subdomains (zero elsewhere), so
-/// the cluster-wide dual result is the sum of the per-shard results.
-class ShardedDualOp final : public DualOperator {
- public:
-  ShardedDualOp(const decomp::FetiProblem& p,
-                std::unique_ptr<gpu::DevicePool> pool,
-                const ShardFactory& make_inner)
-      : DualOperator(p), pool_(std::move(pool)) {
-    const idx nsub = p.num_subdomains();
-    inner_.reserve(pool_->size());
-    for (std::size_t shard = 0; shard < pool_->size(); ++shard) {
-      std::vector<idx> owned = pool_->owned_subdomains(shard, nsub);
-      // A shard beyond the subdomain count owns nothing; an empty list
-      // must not reach the inner factory, whose empty-subset convention
-      // means "all subdomains".
-      if (owned.empty()) break;
-      inner_.push_back(make_inner(pool_->context(shard), std::move(owned)));
-    }
-  }
-
-  ~ShardedDualOp() override {
-    for (std::size_t k = 0; k < partial_dev_.size(); ++k)
-      if (partial_dev_[k] != nullptr) {
-        pool_->context(k).device().synchronize();
-        pool_->context(k).device().free(partial_dev_[k]);
-      }
-  }
-
-  void prepare() override {
-    ScopedTimer t(timings_, "prepare");
-    // Sequential: preparation is dominated by one-time CPU symbolic work
-    // that already parallelizes across subdomains within each shard.
-    for (auto& op : inner_) op->prepare();
-  }
-
-  void update_values() override {
-    // Every shard filters its own owned subset against the problem's value
-    // versions, so a clean step costs one near-free pass per shard. The
-    // wrapper aggregates the per-shard skip decisions: the step counts as
-    // skipped only when no shard refreshed anything.
-    ScopedTimer t(timings_, "update_values");
-    const long before = inner_refreshed_total();
-    parallel_over_shards([&](std::size_t k) { inner_[k]->update_values(); });
-    ++cache_stats_.steps;
-    if (inner_refreshed_total() == before) ++cache_stats_.skipped_steps;
-  }
-
-  void kplus_solve(idx sub, const double* b, double* x) const override {
-    inner_[pool_->shard_of(sub)]->kplus_solve(sub, b, x);
-  }
-
-  /// A shard that served a batch through the base-class loop counts here:
-  /// the wrapper forwards whole batches, so its own counter stays 0 and
-  /// the aggregate exposes the inner operators' behaviour.
-  [[nodiscard]] long loop_fallback_count() const override {
-    long total = DualOperator::loop_fallback_count();
-    for (const auto& op : inner_) total += op->loop_fallback_count();
-    return total;
-  }
-
-  /// Steps and whole-step skips are wrapper-level (each update_values()
-  /// call above is one step regardless of shard count); the per-subdomain
-  /// counts sum over the disjoint shard subsets, so refreshed + skipped
-  /// per step still adds up to the subdomain count.
-  [[nodiscard]] CacheStats cache_stats() const override {
-    CacheStats total;
-    total.steps = cache_stats_.steps;
-    total.skipped_steps = cache_stats_.skipped_steps;
-    for (const auto& op : inner_) {
-      const CacheStats inner = op->cache_stats();
-      total.refreshed_subdomains += inner.refreshed_subdomains;
-      total.skipped_subdomains += inner.skipped_subdomains;
-    }
-    return total;
-  }
-
-  /// Sum of the shards' persistent apply-state bytes (disjoint subdomain
-  /// subsets, so the sum is the whole operator's F̃ footprint).
-  [[nodiscard]] std::size_t apply_bytes() const override {
-    std::size_t total = 0;
-    for (const auto& op : inner_) total += op->apply_bytes();
-    return total;
-  }
-
-  /// Sum of the shards' assembly solve-column counters (disjoint subdomain
-  /// subsets, so the sum is the whole operator's solve-panel work).
-  [[nodiscard]] long solve_columns() const override {
-    long total = 0;
-    for (const auto& op : inner_) total += op->solve_columns();
-    return total;
-  }
-
-  /// Shard 0's context anchors the device-resident solver state; the other
-  /// shards' partial applications write into buffers that the merge kernel
-  /// (submitted on shard 0's stream) sums — legal in the virtual runtime,
-  /// where every device's memory is process memory.
-  [[nodiscard]] gpu::ExecutionContext* device_context() override {
-    return &pool_->context(0);
-  }
-
- protected:
-  void apply_one(const double* x, double* y) override { merge_apply(x, y, 1); }
-
-  void apply_many(const double* x, double* y, idx nrhs) override {
-    merge_apply(x, y, nrhs);
-  }
-
-  void apply_many_device(const double* d_x, double* d_y,
-                         idx nrhs) override {
-    const std::size_t len = static_cast<std::size_t>(p_.num_lambdas) *
-                            static_cast<std::size_t>(nrhs);
-    ensure_partial_dev(len);
-    // d_x is produced on the anchor context's stream (the device_context()
-    // the caller iterates on); shards 1+ read it from their own devices, so
-    // the anchor queue must drain before the fan-out.
-    pool_->context(0).main_stream().synchronize();
-    // Each shard's partial application is synchronous (the inner device
-    // paths drain their main stream before returning), so the merge below
-    // sees complete partials once the shard threads have joined.
-    parallel_over_shards([&](std::size_t k) {
-      inner_[k]->apply_device(d_x, partial_dev_[k], nrhs);
-    });
-    gpu::Stream main = pool_->context(0).main_stream();
-    std::vector<const double*> parts(partial_dev_.begin(),
-                                     partial_dev_.end());
-    main.submit([d_y, parts = std::move(parts), len] {
-      std::fill_n(d_y, len, 0.0);
-      for (const double* part : parts)
-        for (std::size_t i = 0; i < len; ++i) d_y[i] += part[i];
-    });
-    main.synchronize();
-  }
-
- private:
-  /// Grow-only per-shard device partial buffers for apply_many_device,
-  /// allocated on each shard's own device (matching that shard's memory
-  /// accounting, like the inner operators' state).
-  void ensure_partial_dev(std::size_t len) {
-    partial_dev_.resize(inner_.size(), nullptr);
-    if (partial_cap_ >= len) return;
-    for (std::size_t k = 0; k < inner_.size(); ++k) {
-      gpu::Device& dev = pool_->context(k).device();
-      if (partial_dev_[k] != nullptr) dev.free(partial_dev_[k]);
-      partial_dev_[k] = nullptr;
-      partial_dev_[k] = dev.alloc_n<double>(len);
-    }
-    partial_cap_ = len;
-  }
-  /// Runs every shard's partial application concurrently (one host thread
-  /// per shard — each shard owns a separate virtual device), then sums the
-  /// partial cluster vectors. The partial buffers persist across calls:
-  /// apply sits in the PCPG per-iteration hot path.
-  void merge_apply(const double* x, double* y, idx nrhs) {
-    const std::size_t len =
-        static_cast<std::size_t>(p_.num_lambdas) * static_cast<std::size_t>(nrhs);
-    partial_.resize(inner_.size());
-    parallel_over_shards([&](std::size_t k) {
-      partial_[k].resize(len);
-      inner_[k]->apply(x, partial_[k].data(), nrhs);
-    });
-    std::fill_n(y, len, 0.0);
-    for (const auto& part : partial_)
-      for (std::size_t i = 0; i < len; ++i) y[i] += part[i];
-  }
-
-  [[nodiscard]] long inner_refreshed_total() const {
-    long total = 0;
-    for (const auto& op : inner_) total += op->cache_stats().refreshed_subdomains;
-    return total;
-  }
-
-  template <typename F>
-  void parallel_over_shards(F&& f) {
-    std::vector<std::exception_ptr> errors(inner_.size());
-    std::vector<std::thread> threads;
-    threads.reserve(inner_.size());
-    for (std::size_t k = 0; k < inner_.size(); ++k)
-      threads.emplace_back([&, k] {
-        try {
-          f(k);
-        } catch (...) {
-          errors[k] = std::current_exception();
-        }
-      });
-    for (auto& t : threads) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
-
-  // pool_ outlives inner_ (members destroy in reverse declaration order):
-  // the partial operators hold references into the pool's contexts.
-  std::unique_ptr<gpu::DevicePool> pool_;
-  std::vector<std::unique_ptr<DualOperator>> inner_;
-  std::vector<std::vector<double>> partial_;
-  std::vector<double*> partial_dev_;  ///< per-shard device partials
-  std::size_t partial_cap_ = 0;       ///< allocated length of each partial
-};
-
 }  // namespace
 
 std::unique_ptr<DualOperator> make_implicit_gpu(
     const decomp::FetiProblem& p, gpu::sparse::Api api,
-    sparse::OrderingKind ordering, gpu::ExecutionContext& context, int streams,
-    std::vector<idx> owned) {
+    sparse::OrderingKind ordering, gpu::ExecutionContext& context,
+    int streams) {
   return std::make_unique<ImplicitGpuDualOp>(p, api, ordering, context,
-                                             streams, std::move(owned));
+                                             streams);
 }
 
 std::unique_ptr<DualOperator> make_explicit_gpu(
     const decomp::FetiProblem& p, gpu::sparse::Api api,
     const ExplicitGpuOptions& options, sparse::OrderingKind ordering,
-    gpu::ExecutionContext& context, std::vector<idx> owned,
-    Precision precision, bool sparsity) {
+    gpu::ExecutionContext& context, Precision precision, bool sparsity) {
   if (precision == Precision::F32)
     return std::make_unique<ExplicitGpuDualOpT<float>>(
-        p, api, options, ordering, context, std::move(owned), sparsity);
+        p, api, options, ordering, context, sparsity);
   return std::make_unique<ExplicitGpuDualOp>(p, api, options, ordering,
-                                             context, std::move(owned),
-                                             sparsity);
+                                             context, sparsity);
 }
 
 std::unique_ptr<DualOperator> make_hybrid(const decomp::FetiProblem& p,
                                           const ExplicitGpuOptions& options,
                                           sparse::OrderingKind ordering,
                                           gpu::ExecutionContext& context,
-                                          std::vector<idx> owned,
                                           Precision precision, bool sparsity) {
   if (precision == Precision::F32)
-    return std::make_unique<HybridDualOpT<float>>(
-        p, options, ordering, context, std::move(owned), sparsity);
+    return std::make_unique<HybridDualOpT<float>>(p, options, ordering,
+                                                  context, sparsity);
   return std::make_unique<HybridDualOp>(p, options, ordering, context,
-                                        std::move(owned), sparsity);
-}
-
-std::unique_ptr<DualOperator> make_sharded(const decomp::FetiProblem& p,
-                                           int shards,
-                                           gpu::ExecutionContext& context,
-                                           const ShardFactory& make_shard) {
-  auto pool = std::make_unique<gpu::DevicePool>(
-      shards, gpu::DevicePool::split_config(context.device().config(), shards));
-  return std::make_unique<ShardedDualOp>(p, std::move(pool), make_shard);
+                                        sparsity);
 }
 
 void register_gpu_dual_operators(DualOperatorRegistry& registry) {
   // The factories read the sparse API generation (and, for the explicit
-  // families, sparsity and precision) off the parsed key; the registry
-  // shards every family here for " xN".
+  // families, sparsity and precision) off the parsed key.
   for (const char* key : {"impl legacy", "impl modern"}) {
     const ApproachAxes axes = parse_axes(key);
     registry.add(
@@ -1149,10 +919,8 @@ void register_gpu_dual_operators(DualOperatorRegistry& registry) {
              gpu::sparse::to_string(axes.api) +
              " sparse API, simplicial factors"},
         [](const decomp::FetiProblem& p, const DualOpConfig& c,
-           const ApproachAxes& a, gpu::ExecutionContext* ctx,
-           std::vector<idx> owned) {
-          return make_implicit_gpu(p, a.api, c.ordering, *ctx, c.gpu.streams,
-                                   std::move(owned));
+           const ApproachAxes& a, gpu::ExecutionContext* ctx) {
+          return make_implicit_gpu(p, a.api, c.ordering, *ctx, c.gpu.streams);
         });
   }
   for (const char* key : {"expl legacy", "expl modern"}) {
@@ -1162,20 +930,18 @@ void register_gpu_dual_operators(DualOperatorRegistry& registry) {
          std::string("explicit F̃ assembled on the GPU, ") +
              gpu::sparse::to_string(axes.api) + " sparse API"},
         [](const decomp::FetiProblem& p, const DualOpConfig& c,
-           const ApproachAxes& a, gpu::ExecutionContext* ctx,
-           std::vector<idx> owned) {
+           const ApproachAxes& a, gpu::ExecutionContext* ctx) {
           return make_explicit_gpu(p, a.api, c.gpu, c.ordering, *ctx,
-                                   std::move(owned), a.precision, a.sparsity);
+                                   a.precision, a.sparsity);
         });
   }
   registry.add(
       {"expl hybrid", parse_axes("expl hybrid"),
        "explicit F̃ assembled on the CPU (Schur path), applied on the GPU"},
       [](const decomp::FetiProblem& p, const DualOpConfig& c,
-         const ApproachAxes& a, gpu::ExecutionContext* ctx,
-         std::vector<idx> owned) {
-        return make_hybrid(p, c.gpu, c.ordering, *ctx, std::move(owned),
-                           a.precision, a.sparsity);
+         const ApproachAxes& a, gpu::ExecutionContext* ctx) {
+        return make_hybrid(p, c.gpu, c.ordering, *ctx, a.precision,
+                           a.sparsity);
       });
 }
 

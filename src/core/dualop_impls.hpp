@@ -2,12 +2,9 @@
 
 // Internal factory functions for the concrete dual-operator
 // implementations (one per Table-III family, the explicit ones templated
-// on the F̃ storage precision), the sharded multi-device wrapper the
-// registry composes " xN" keys from, and the per-file registration entry
-// points the DualOperatorRegistry pulls in on first use. Exposed for
-// white-box tests.
-
-#include <functional>
+// on the F̃ storage precision) and the per-file registration entry points
+// the DualOperatorRegistry pulls in on first use. Exposed for white-box
+// tests.
 
 #include "core/dual_operator.hpp"
 #include "sparse/solver.hpp"
@@ -23,20 +20,6 @@ void register_cpu_dual_operators(DualOperatorRegistry& registry);
 /// Registers the five device-backed families: impl legacy, impl modern,
 /// expl legacy, expl modern and expl hybrid. Defined in dualop_gpu.cpp.
 void register_gpu_dual_operators(DualOperatorRegistry& registry);
-
-/// Builds the partial operator of one shard over its owned subdomains.
-using ShardFactory = std::function<std::unique_ptr<DualOperator>(
-    gpu::ExecutionContext&, std::vector<idx>)>;
-
-/// Partitions the subdomains across `shards` virtual devices split from
-/// `context`'s budget and sums one partial operator per shard (partial
-/// operators sum to the full F because the dual gather is additive).
-/// `make_shard` is called synchronously, once per non-empty shard.
-/// Defined in dualop_gpu.cpp.
-std::unique_ptr<DualOperator> make_sharded(const decomp::FetiProblem& p,
-                                           int shards,
-                                           gpu::ExecutionContext& context,
-                                           const ShardFactory& make_shard);
 
 std::unique_ptr<DualOperator> make_implicit_cpu(
     const decomp::FetiProblem& p, sparse::Backend backend,
@@ -61,27 +44,23 @@ std::unique_ptr<DualOperator> make_explicit_cpu_trsm(
     Precision precision, bool sparsity);
 
 // The GPU factories take an ExecutionContext (device + stream pool +
-// workspace policy) and a subdomain subset `owned`: an empty subset means
-// "all subdomains", a non-empty one restricts the operator to those
-// subdomains (the building block of the sharded variants).
+// workspace policy); the operator runs every subdomain on that one device.
 
 std::unique_ptr<DualOperator> make_implicit_gpu(
     const decomp::FetiProblem& p, gpu::sparse::Api api,
     sparse::OrderingKind ordering, gpu::ExecutionContext& context,
-    int streams, std::vector<idx> owned);
+    int streams);
 
 std::unique_ptr<DualOperator> make_explicit_gpu(
     const decomp::FetiProblem& p, gpu::sparse::Api api,
     const ExplicitGpuOptions& options, sparse::OrderingKind ordering,
-    gpu::ExecutionContext& context, std::vector<idx> owned,
-    Precision precision, bool sparsity);
+    gpu::ExecutionContext& context, Precision precision, bool sparsity);
 
 /// expl hybrid: Schur assembly on CPU, application on the GPU.
 std::unique_ptr<DualOperator> make_hybrid(const decomp::FetiProblem& p,
                                           const ExplicitGpuOptions& options,
                                           sparse::OrderingKind ordering,
                                           gpu::ExecutionContext& context,
-                                          std::vector<idx> owned,
                                           Precision precision, bool sparsity);
 
 }  // namespace feti::core

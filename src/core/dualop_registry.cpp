@@ -14,7 +14,6 @@ namespace {
 ApproachAxes family_of(ApproachAxes axes) {
   axes.sparsity = false;
   axes.precision = Precision::F64;
-  axes.shards = 1;
   return axes;
 }
 
@@ -92,13 +91,11 @@ std::vector<std::string> DualOperatorRegistry::keys() const {
   for (const std::string& family : families()) {
     ApproachAxes axes = parse_axes(family);
     for (bool sparsity : {false, true})
-      for (Precision precision : {Precision::F64, Precision::F32})
-        for (int shards : {1, 2, 4}) {
-          axes.sparsity = sparsity;
-          axes.precision = precision;
-          axes.shards = shards;
-          if (axes.valid()) out.push_back(axes.key());
-        }
+      for (Precision precision : {Precision::F64, Precision::F32}) {
+        axes.sparsity = sparsity;
+        axes.precision = precision;
+        if (axes.valid()) out.push_back(axes.key());
+      }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -116,9 +113,6 @@ DualOperatorInfo DualOperatorRegistry::info(std::string_view key) const {
   if (r.axes.sparsity) out.summary += ", boundary-restricted panel";
   if (r.axes.precision == Precision::F32)
     out.summary += ", fp32 storage + fp64 accumulation";
-  if (r.axes.shards > 1)
-    out.summary += ", sharded across " + std::to_string(r.axes.shards) +
-                   " virtual GPUs";
   return out;
 }
 
@@ -145,16 +139,8 @@ std::unique_ptr<DualOperator> DualOperatorRegistry::create(
   check(r.axes.device == ExecDevice::Cpu || context != nullptr,
         "DualOperatorRegistry::create: '" + std::string(key) +
             "' requires a GPU execution context");
-  std::unique_ptr<DualOperator> op;
-  if (r.axes.shards == 1) {
-    op = r.family.factory(problem, config, r.axes, context, {});
-  } else {
-    op = make_sharded(problem, r.axes.shards, *context,
-                      [&](gpu::ExecutionContext& shard, std::vector<idx> owned) {
-                        return r.family.factory(problem, config, r.axes,
-                                                &shard, std::move(owned));
-                      });
-  }
+  std::unique_ptr<DualOperator> op =
+      r.family.factory(problem, config, r.axes, context);
   op->name_ = std::string(key);
   return op;
 }

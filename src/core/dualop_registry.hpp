@@ -6,10 +6,9 @@
 // … "expl hybrid"), each registered once with its factory and axis
 // metadata (see register_cpu_dual_operators / register_gpu_dual_operators
 // in dualop_cpu.cpp / dualop_gpu.cpp). Every selectable key is composed
-// from a family by the key grammar of config.hpp
-// (`<family>[ sp][ f32][ xN]`): the registry parses the key, hands the
-// family factory the parsed axes, and wraps device-backed families in the
-// sharded multi-device operator for " xN". All construction and every
+// from a family by the key grammar of config.hpp (`<family>[ sp][ f32]`):
+// the registry parses the key and hands the family factory the parsed
+// axes. All construction and every
 // capability query (uses_gpu, is_explicit, availability) is answered from
 // the parsed axes and the family metadata, and every operator is named
 // after the key it was created under.
@@ -52,20 +51,18 @@ class DualOperator;
 /// Metadata of one key: registered with each family (key = family key),
 /// composed by info() for every selectable key.
 struct DualOperatorInfo {
-  std::string key;      ///< registry key, e.g. "expl legacy sp x2"
+  std::string key;      ///< registry key, e.g. "expl legacy sp f32"
   ApproachAxes axes;    ///< parse_axes(key)
   std::string summary;  ///< one-line description for listings
 };
 
 /// A family factory builds the family's operator for the parsed axes of
-/// the requested key (sparsity and precision select the variant) over the
-/// `owned` subdomain subset, where empty means "all subdomains". The
+/// the requested key (sparsity and precision select the variant). The
 /// execution context is required for device-backed families and null for
-/// CPU ones; only device-backed families are handed a non-empty subset
-/// (one call per shard of an " xN" key).
+/// CPU ones.
 using DualOperatorFactory = std::function<std::unique_ptr<DualOperator>(
     const decomp::FetiProblem&, const DualOpConfig&, const ApproachAxes&,
-    gpu::ExecutionContext*, std::vector<idx> owned)>;
+    gpu::ExecutionContext*)>;
 
 class DualOperatorRegistry {
  public:
@@ -76,14 +73,14 @@ class DualOperatorRegistry {
   /// Registers an operator family under its family key (info.key, e.g.
   /// "expl legacy", with info.axes == parse_axes(info.key)). Throws
   /// std::invalid_argument on a duplicate family, a key that is not a
-  /// family key (" sp"/" f32"/" xN" variants are composed, not
+  /// family key (" sp"/" f32" variants are composed, not
   /// registered), or axes that do not match the key.
   void add(DualOperatorInfo info, DualOperatorFactory factory);
 
   /// The registered family keys, sorted.
   [[nodiscard]] std::vector<std::string> families() const;
-  /// Every selectable key — each family × {dense, " sp"} × {f64, " f32"} ×
-  /// {1, " x2", " x4"}, filtered by ApproachAxes::valid() — sorted.
+  /// Every selectable key — each family × {dense, " sp"} × {f64, " f32"},
+  /// filtered by ApproachAxes::valid() — sorted.
   [[nodiscard]] std::vector<std::string> keys() const;
   /// keys().size().
   [[nodiscard]] std::size_t size() const;
@@ -91,9 +88,8 @@ class DualOperatorRegistry {
   /// Whether `key` parses and its family is registered.
   [[nodiscard]] bool contains(std::string_view key) const;
   /// Metadata of `key`, with the summary composed as `<family summary>[,
-  /// boundary-restricted panel][, fp32 storage + fp64 accumulation][,
-  /// sharded across N virtual GPUs]`. Throws std::invalid_argument for
-  /// unknown keys.
+  /// boundary-restricted panel][, fp32 storage + fp64 accumulation]`.
+  /// Throws std::invalid_argument for unknown keys.
   [[nodiscard]] DualOperatorInfo info(std::string_view key) const;
 
   // -- capability queries (axis-derived; throw for unknown keys) --

@@ -31,7 +31,6 @@
 // which is exact.
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "decomp/feti_problem.hpp"
@@ -41,26 +40,13 @@
 
 namespace feti::core {
 
-/// The subdomains an operator is responsible for: the explicit subset when
-/// given, otherwise all of them.
-inline std::vector<idx> resolve_owned(const decomp::FetiProblem& p,
-                                      std::vector<idx> owned) {
-  if (owned.empty()) {
-    owned.resize(static_cast<std::size_t>(p.num_subdomains()));
-    std::iota(owned.begin(), owned.end(), 0);
-  }
-  return owned;
-}
-
 /// Where the caller's cluster block lives: host memory (the GPU placement
 /// stages it through device buffers) or the device (no staging copies).
 enum class ClusterMemory : bool { Host, Device };
 
 /// Per-subdomain device dual vectors and panels, cluster staging buffers and
-/// maps over an owned subdomain subset, and the two scatter/gather bodies.
-/// The gathered cluster block holds the contributions of the owned
-/// subdomains and zero elsewhere, so the results of disjoint subsets sum to
-/// the full application. Subdomains without multipliers (m = 0) are skipped.
+/// maps over every subdomain of the problem, and the two scatter/gather
+/// bodies. Subdomains without multipliers (m = 0) are skipped.
 ///
 /// `T` is the local-panel scalar: fp64 for the default operators, fp32 for
 /// the mixed-precision explicit families. The cluster-wide dual vectors
@@ -96,17 +82,16 @@ class GpuDualVectorsT {
   /// `s`) and, when `weighted`, allocates the weight diagonals that
   /// upload_weights() fills.
   void prepare(gpu::Device& dev, gpu::Stream& s, const decomp::FetiProblem& p,
-               const std::vector<idx>& owned, bool weighted = false) {
+               bool weighted = false) {
     dev_ = &dev;
     p_ = &p;
-    owned_ = owned;
     nlambda_ = p.num_lambdas;
     weighted_ = weighted;
-    subs_.resize(owned_.size());
+    subs_.resize(p.sub.size());
     host_lam_.resize(subs_.size());
     host_q_.resize(subs_.size());
-    for (std::size_t k = 0; k < owned_.size(); ++k) {
-      const auto& fs = p.sub[owned_[k]];
+    for (std::size_t k = 0; k < subs_.size(); ++k) {
+      const auto& fs = p.sub[k];
       const idx m = fs.num_local_lambdas();
       subs_[k].n = m;
       if (m == 0) continue;
@@ -121,20 +106,20 @@ class GpuDualVectorsT {
   }
 
   /// Stream-ordered upload of the weight diagonals (`w` is indexed by
-  /// global subdomain; `w[s]` must stay alive until `s` drains). Requires
+  /// subdomain; `w[s]` must stay alive until `s` drains). Requires
   /// prepare(..., weighted = true).
   void upload_weights(gpu::Stream& s,
                       const std::vector<std::vector<double>>& w) {
     for (std::size_t k = 0; k < subs_.size(); ++k)
       if (subs_[k].weight != nullptr)
-        s.memcpy_h2d(subs_[k].weight, w[owned_[k]].data(),
+        s.memcpy_h2d(subs_[k].weight, w[k].data(),
                      static_cast<std::size_t>(subs_[k].n) * sizeof(double));
   }
 
   /// GPU scatter/gather placement. `x`/`y` hold nrhs contiguous cluster
   /// columns (leading dimension num_lambdas) in `memory`; `local(s, stream,
-  /// lam, q)` receives the *global* subdomain index and submits q = Aₛ lam
-  /// on `stream`. Synchronous: the result is complete on return.
+  /// lam, q)` receives the subdomain index and submits q = Aₛ lam on
+  /// `stream`. Synchronous: the result is complete on return.
   template <typename Local>
   void apply_gpu(gpu::Stream& main, std::vector<gpu::Stream>& streams,
                  const double* x, double* y, idx nrhs, ClusterMemory memory,
@@ -163,7 +148,7 @@ class GpuDualVectorsT {
         st.wait(scattered);
         used[k % nstreams] = true;
       }
-      local(owned_[k], st, lam_panel(k, nrhs), q_panel(k, nrhs));
+      local(static_cast<idx>(k), st, lam_panel(k, nrhs), q_panel(k, nrhs));
     }
     for (std::size_t k = 0; k < nstreams; ++k)
       if (used[k]) main.wait(streams[k].record());
@@ -194,7 +179,7 @@ class GpuDualVectorsT {
         host_lam_[k].resize(span);
         host_q_[k].resize(span);
       }
-      const auto& map = p_->sub[owned_[k]].lm_l2c;
+      const auto& map = p_->sub[k].lm_l2c;
       la::DenseViewT<T> h{host_lam_[k].data(), lam.rows, lam.cols, lam.ld,
                           lam.layout};
       for (std::size_t i = 0; i < map.size(); ++i)
@@ -203,7 +188,7 @@ class GpuDualVectorsT {
               x[map[i] + static_cast<std::size_t>(j) * stride]);
       gpu::Stream& st = streams[k % nstreams];
       st.memcpy_h2d(lam.data, host_lam_[k].data(), span * sizeof(T));
-      local(owned_[k], st, lam, q);
+      local(static_cast<idx>(k), st, lam, q);
       st.memcpy_d2h(host_q_[k].data(), q.data, span * sizeof(T));
     }
     for (auto& st : streams) st.synchronize();
@@ -211,7 +196,7 @@ class GpuDualVectorsT {
     for (std::size_t k = 0; k < subs_.size(); ++k) {
       if (subs_[k].n == 0) continue;
       const Panel q = q_panel(k, nrhs);
-      const auto& map = p_->sub[owned_[k]].lm_l2c;
+      const auto& map = p_->sub[k].lm_l2c;
       const la::ConstDenseViewT<T> h(host_q_[k].data(), q.rows, q.cols, q.ld,
                                      q.layout);
       for (std::size_t i = 0; i < map.size(); ++i)
@@ -306,7 +291,6 @@ class GpuDualVectorsT {
 
   gpu::Device* dev_ = nullptr;
   const decomp::FetiProblem* p_ = nullptr;
-  std::vector<idx> owned_;
   std::vector<SubVec> subs_;
   std::vector<std::vector<T>> host_lam_, host_q_;  ///< CPU-placement staging
   double* d_x_ = nullptr;

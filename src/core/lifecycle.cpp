@@ -2,19 +2,9 @@
 
 #include <omp.h>
 
-#include <numeric>
-
 namespace feti::core {
 
 UpdatePlan ValueTracker::begin(const decomp::FetiProblem& p,
-                               AtomicCacheStats& stats) {
-  std::vector<idx> all(p.sub.size());
-  std::iota(all.begin(), all.end(), 0);
-  return begin(p, all, stats);
-}
-
-UpdatePlan ValueTracker::begin(const decomp::FetiProblem& p,
-                               const std::vector<idx>& owned,
                                AtomicCacheStats& stats) {
   const std::size_t nsub = p.sub.size();
   if (seen_version_.size() != nsub) seen_version_.assign(nsub, 0);
@@ -22,37 +12,34 @@ UpdatePlan ValueTracker::begin(const decomp::FetiProblem& p,
   if (hashed && seen_hash_.size() != nsub) seen_hash_.assign(nsub, 0);
 
   // Hashing is the only per-step cost a fully cached step pays under
-  // Hashed tracking, so it runs parallel across the owned subdomains (the
-  // same shape as the refresh loops it guards).
+  // Hashed tracking, so it runs parallel across the subdomains (the same
+  // shape as the refresh loops it guards).
   std::vector<std::uint64_t> hashes;
   if (hashed) {
-    hashes.resize(owned.size());
-    const idx nown = static_cast<idx>(owned.size());
+    hashes.resize(nsub);
+    const idx n = static_cast<idx>(nsub);
 #pragma omp parallel for schedule(dynamic)
-    for (idx k = 0; k < nown; ++k)
-      hashes[static_cast<std::size_t>(k)] = decomp::k_values_hash(
-          p.sub[static_cast<std::size_t>(owned[static_cast<std::size_t>(k)])]);
+    for (idx k = 0; k < n; ++k)
+      hashes[static_cast<std::size_t>(k)] =
+          decomp::k_values_hash(p.sub[static_cast<std::size_t>(k)]);
   }
 
   UpdatePlan plan;
-  for (std::size_t k = 0; k < owned.size(); ++k) {
-    const idx s = owned[k];
-    const auto& fs = p.sub[static_cast<std::size_t>(s)];
-    bool dirty = seen_version_[static_cast<std::size_t>(s)] !=
-                 fs.values_version;
+  for (std::size_t s = 0; s < nsub; ++s) {
+    const auto& fs = p.sub[s];
+    bool dirty = seen_version_[s] != fs.values_version;
     std::uint64_t h = 0;
     if (hashed) {
-      h = hashes[k];
-      dirty = dirty || h != seen_hash_[static_cast<std::size_t>(s)];
+      h = hashes[s];
+      dirty = dirty || h != seen_hash_[s];
     }
     if (dirty) {
-      plan.dirty.push_back(s);
+      plan.dirty.push_back(static_cast<idx>(s));
       plan.hash.push_back(h);
     }
   }
   ++stats.steps;
-  stats.skipped_subdomains +=
-      static_cast<long>(owned.size() - plan.dirty.size());
+  stats.skipped_subdomains += static_cast<long>(nsub - plan.dirty.size());
   if (plan.dirty.empty()) ++stats.skipped_steps;
   return plan;
 }

@@ -52,9 +52,9 @@ struct AtomicCacheStats {
   }
 };
 
-/// The dirty-set decision of one update_values() call: the owned
-/// subdomains whose K values changed since the last committed refresh
-/// (ascending global indices), plus their new content hashes under
+/// The dirty-set decision of one update_values() call: the subdomains
+/// whose K values changed since the last committed refresh
+/// (ascending indices), plus their new content hashes under
 /// ValueTracking::Hashed.
 struct UpdatePlan {
   std::vector<idx> dirty;
@@ -73,8 +73,6 @@ struct UpdatePlan {
 class ValueTracker {
  public:
   UpdatePlan begin(const decomp::FetiProblem& p, AtomicCacheStats& stats);
-  UpdatePlan begin(const decomp::FetiProblem& p, const std::vector<idx>& owned,
-                   AtomicCacheStats& stats);
   void end(const decomp::FetiProblem& p, const UpdatePlan& plan,
            AtomicCacheStats& stats);
 

@@ -193,10 +193,9 @@ class Backend {
       m.apply(x, y, width);
       return;
     }
-    // A preconditioner pooled on a different execution context (the
-    // sharded operator anchors on its internal shard-0 context) submits on
-    // streams with no ordering against the main queue — drain it first so
-    // the preconditioner reads complete inputs. Same-context
+    // A preconditioner on a different execution context than the operator
+    // submits on streams with no ordering against the main queue — drain
+    // it first so the preconditioner reads complete inputs. Same-context
     // preconditioners share the in-order main queue and need no fence.
     if (m.device_context() != ctx_) stream_.synchronize();
     m.apply_device(x, y, width);

@@ -18,7 +18,7 @@ namespace feti::decomp {
 /// (the time-step caching contract; see docs/ARCHITECTURE.md):
 ///
 ///  - Hashed (default): each update additionally hashes the K_reg values of
-///    every owned subdomain and refreshes on any mismatch. Safe for callers
+///    every subdomain and refreshes on any mismatch. Safe for callers
 ///    that mutate values in place without marking; costs one O(nnz) pass
 ///    per subdomain per step.
 ///  - Versioned: operators trust the per-subdomain values-version counters

@@ -53,21 +53,9 @@ void ExecutionContext::synchronize() { device_->synchronize(); }
 
 DevicePool::DevicePool(int num_shards, const DeviceConfig& per_shard_cfg) {
   check(num_shards >= 1, "DevicePool: need at least one shard");
-  owned_.reserve(static_cast<std::size_t>(num_shards));
   contexts_.reserve(static_cast<std::size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
-    owned_.push_back(std::make_unique<Device>(per_shard_cfg));
-    contexts_.push_back(std::make_unique<ExecutionContext>(*owned_.back()));
-  }
-}
-
-DevicePool::DevicePool(const std::vector<Device*>& devices) {
-  check(!devices.empty(), "DevicePool: need at least one device");
-  contexts_.reserve(devices.size());
-  for (Device* d : devices) {
-    check(d != nullptr, "DevicePool: null device");
-    contexts_.push_back(std::make_unique<ExecutionContext>(*d));
-  }
+  for (int i = 0; i < num_shards; ++i)
+    contexts_.push_back(std::make_unique<ExecutionContext>(per_shard_cfg));
 }
 
 ExecutionContext& DevicePool::context(std::size_t shard) {
@@ -77,24 +65,6 @@ ExecutionContext& DevicePool::context(std::size_t shard) {
 
 Device& DevicePool::device(std::size_t shard) {
   return context(shard).device();
-}
-
-std::vector<idx> DevicePool::owned_subdomains(std::size_t shard,
-                                             idx num_subdomains) const {
-  check(shard < contexts_.size(),
-        "DevicePool::owned_subdomains: shard out of range");
-  std::vector<idx> out;
-  for (idx s = static_cast<idx>(shard); s < num_subdomains;
-       s += static_cast<idx>(size()))
-    out.push_back(s);
-  return out;
-}
-
-DeviceTopology DevicePool::topology() const {
-  DeviceTopology t;
-  t.num_devices = static_cast<int>(size());
-  t.streams_per_device = contexts_.front()->device().config().worker_threads;
-  return t;
 }
 
 void DevicePool::synchronize() {

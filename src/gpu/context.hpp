@@ -11,10 +11,9 @@
 // of reaching for a process-global device and hand-rolling their own
 // stream vectors.
 //
-// DevicePool extends the same idea to multi-GPU sharding: N virtual
-// devices, one ExecutionContext per shard, and a round-robin partition of
-// subdomains across the shards. DeviceTopology is the compact summary the
-// autotuner consumes to pick sharded operator variants and stream counts.
+// DevicePool is the solver service's tenant pool: N virtual devices, one
+// ExecutionContext per shard, and leases that steer concurrent tenants to
+// different devices. Each dual operator runs on exactly one of them.
 
 #include <cstddef>
 #include <memory>
@@ -25,16 +24,6 @@
 #include "util/common.hpp"
 
 namespace feti::gpu {
-
-/// Compact device-topology description for configuration decisions
-/// (core::recommend_config): how many devices a workload may shard across
-/// and how many concurrent streams each can keep busy.
-struct DeviceTopology {
-  int num_devices = 1;
-  /// Worker streams per device the scheduler can keep busy (the paper uses
-  /// one stream per OpenMP thread); 0 = unknown, keep defaults.
-  int streams_per_device = 0;
-};
 
 /// One device's execution resources: the device handle, a lazily grown
 /// pool of worker streams plus a dedicated main stream (cluster-wide
@@ -87,17 +76,13 @@ class ExecutionContext {
   std::vector<Stream> pool_;
 };
 
-/// N virtual devices with per-shard ExecutionContexts and a round-robin
-/// partition of subdomains across the shards — the resource object behind
-/// the sharded ("expl legacy x2", ...) dual-operator variants.
+/// N virtual devices with per-shard ExecutionContexts — the solver
+/// service's tenant pool, which puts distinct tenants on distinct devices.
 class DevicePool {
  public:
-  /// Owning pool: creates `num_shards` devices, each configured with
-  /// `per_shard_cfg` (see split_config to derive it from a single-device
-  /// budget).
+  /// Creates `num_shards` devices, each configured with `per_shard_cfg`
+  /// (see split_config to derive it from a single-device budget).
   DevicePool(int num_shards, const DeviceConfig& per_shard_cfg);
-  /// Non-owning pool over externally managed devices.
-  explicit DevicePool(const std::vector<Device*>& devices);
 
   DevicePool(const DevicePool&) = delete;
   DevicePool& operator=(const DevicePool&) = delete;
@@ -154,16 +139,6 @@ class DevicePool {
   /// Leases currently outstanding against `shard`.
   [[nodiscard]] int active_leases(std::size_t shard) const;
 
-  /// The shard owning subdomain `sub` (round robin).
-  [[nodiscard]] std::size_t shard_of(idx sub) const {
-    return static_cast<std::size_t>(sub) % size();
-  }
-  /// The subdomains of [0, num_subdomains) owned by `shard`.
-  [[nodiscard]] std::vector<idx> owned_subdomains(std::size_t shard,
-                                                  idx num_subdomains) const;
-
-  [[nodiscard]] DeviceTopology topology() const;
-
   /// Synchronizes every shard.
   void synchronize();
 
@@ -173,7 +148,6 @@ class DevicePool {
   static DeviceConfig split_config(DeviceConfig total, int num_shards);
 
  private:
-  std::vector<std::unique_ptr<Device>> owned_;
   std::vector<std::unique_ptr<ExecutionContext>> contexts_;
   mutable std::mutex lease_mutex_;
   std::vector<int> active_leases_;  ///< per-shard outstanding lease counts

@@ -425,9 +425,4 @@ std::size_t Device::memory_used() const {
   return mem_used_;
 }
 
-Device& Device::default_device() {
-  static Device device{DeviceConfig::from_env()};
-  return device;
-}
-
 }  // namespace feti::gpu

@@ -30,8 +30,8 @@ namespace feti::gpu {
 /// Process-wide PCIe traffic instrumentation. Every Stream::memcpy_h2d /
 /// memcpy_d2h counts its bytes here at submission time — the single choke
 /// point all upload helpers (gpu/data.cpp), the dual-vector staging paths,
-/// the preconditioner staging, and the sharded operators' per-shard devices
-/// funnel through — so a transfer-count gate sees the whole process without
+/// the preconditioner staging, and the service's per-shard devices funnel
+/// through — so a transfer-count gate sees the whole process without
 /// per-call-site bookkeeping. Counters accumulate forever; callers take
 /// snapshot() deltas (concurrent solves on other threads pollute a delta,
 /// which is why the benches/tests that gate on it run single-solver).
@@ -218,12 +218,6 @@ class Device {
   [[nodiscard]] std::size_t memory_capacity() const {
     return cfg_.memory_bytes;
   }
-
-  /// Process-wide default device (configured from the environment).
-  /// Compatibility shim for leaf code only: operators, benches, and
-  /// examples receive their resources through gpu::ExecutionContext
-  /// (gpu/context.hpp) instead.
-  static Device& default_device();
 
   // Internal plumbing used by Stream (public because Stream::Impl lives in
   // the implementation file).

@@ -436,7 +436,7 @@ class CpuBlockPreconditioner final : public Preconditioner {
 // ---------------------------------------------------------------------------
 
 /// Assembles on the CPU (same assemblers as above), keeps the M̃ᵢ blocks and
-/// the scaling diagonals resident on the shard's device, and serves M⁻¹
+/// the scaling diagonals resident on the context's device, and serves M⁻¹
 /// through the device apply path of the GPU dual operators
 /// (core/gpu_dual_vectors.hpp): weighted batched scatter → one SYMV/SYMM
 /// per subdomain across the context's worker streams → weighted batched
@@ -470,7 +470,7 @@ class GpuBlockPreconditioner final : public Preconditioner {
       m_host_[s] = la::DenseMatrix(m, m, la::Layout::ColMajor);
       m_dev_[s] = gpu::alloc_dense(dev_, m, m, la::Layout::ColMajor);
     }
-    vectors_.prepare(dev_, main_stream_, p_, core::resolve_owned(p_, {}),
+    vectors_.prepare(dev_, main_stream_, p_,
                      /*weighted=*/scaling_ != Scaling::None);
     if (scaling_ == Scaling::Multiplicity) {
       weights_ = compute_scaling_weights(p_, scaling_);

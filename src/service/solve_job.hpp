@@ -23,7 +23,7 @@ struct SolveJob {
   /// between submissions, never during them.
   const decomp::FetiProblem* problem = nullptr;
 
-  /// Registry key for the dual operator ("expl legacy", "impl mkl f32 x2",
+  /// Registry key for the dual operator ("expl legacy", "expl mkl sp f32",
   /// ...). Empty = the service autotunes a key per job from the problem
   /// shape and the current pool occupancy (see SolverService::plan_key).
   std::string key;

@@ -56,13 +56,13 @@ SolverService::~SolverService() {
 }
 
 core::DualOpConfig SolverService::plan_config(
-    const SolveJob& job, int autotune_dim, const gpu::DeviceTopology& topology,
-    std::size_t pool_budget_remaining, std::size_t pool_budget_total) {
+    const SolveJob& job, int autotune_dim, std::size_t pool_budget_remaining,
+    std::size_t pool_budget_total) {
   check(job.problem != nullptr, "SolveJob: problem must be set");
   const decomp::FetiProblem& p = *job.problem;
   const idx dofs = p.max_subdomain_dofs();
   if (!job.key.empty())
-    return core::recommend_config(job.key, autotune_dim, dofs, 1, topology);
+    return core::recommend_config(job.key, autotune_dim, dofs);
 
   // Auto-keyed job: explicit GPU assembly (the paper's fast path), with
   // the precision axis decided by the pool occupancy — the remaining pool
@@ -80,16 +80,12 @@ core::DualOpConfig SolverService::plan_config(
         std::max(hint.lambdas_per_subdomain, s.num_local_lambdas());
   if (pool_budget_total > 0) hint.memory_budget_bytes =
       std::max<std::size_t>(pool_budget_remaining, 1);
-  return core::recommend_config(axes, autotune_dim, dofs, 1, topology, hint);
+  return core::recommend_config(axes, autotune_dim, dofs, 1, hint);
 }
 
 std::string SolverService::plan_key(const SolveJob& job) const {
-  // Per-entry topology: a pooled operator lives on one shard, so the
-  // planner sees a single device with that shard's stream budget (an
-  // explicitly sharded job key still resolves to its own sharded variant).
-  gpu::DeviceTopology per_shard{1, 0};
-  return plan_config(job, options_.autotune_dim, per_shard,
-                     pool_.remaining_budget(), options_.pool_budget_bytes)
+  return plan_config(job, options_.autotune_dim, pool_.remaining_budget(),
+                     options_.pool_budget_bytes)
       .key;
 }
 
@@ -108,8 +104,7 @@ std::vector<std::future<JobResult>> SolverService::submit(
   for (SolveJob& job : jobs) {
     PendingJob p;
     p.config = plan_config(job, options_.autotune_dim,
-                           gpu::DeviceTopology{1, 0}, pool_.remaining_budget(),
-                           options_.pool_budget_bytes);
+                           pool_.remaining_budget(), options_.pool_budget_bytes);
     p.fingerprint =
         job_fingerprint(*job.problem, p.config.key,
                         precond::normalize_key(job.pcpg.preconditioner));

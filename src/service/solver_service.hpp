@@ -93,17 +93,16 @@ class SolverService {
 
   /// The registry key the service would pick for `job` right now: an
   /// explicit job key is resolved as-is; an empty key is autotuned from
-  /// the problem shape, the per-shard topology, and the current pool
-  /// occupancy (remaining budget becomes the WorkloadHint memory budget,
-  /// so a crowded pool demotes auto-keyed explicit jobs to fp32 storage).
+  /// the problem shape and the current pool occupancy (remaining budget
+  /// becomes the WorkloadHint memory budget, so a crowded pool demotes
+  /// auto-keyed explicit jobs to fp32 storage).
   /// This is the dry-run hook behind `feti_cli --pool-stats`.
   [[nodiscard]] std::string plan_key(const SolveJob& job) const;
 
-  /// Stateless planning core: what plan_key computes for a given topology
-  /// and remaining pool budget (0 = no memory pressure signal).
+  /// Stateless planning core: what plan_key computes for a given remaining
+  /// pool budget (0 = no memory pressure signal).
   [[nodiscard]] static core::DualOpConfig plan_config(
-      const SolveJob& job, int autotune_dim,
-      const gpu::DeviceTopology& topology, std::size_t pool_budget_remaining,
+      const SolveJob& job, int autotune_dim, std::size_t pool_budget_remaining,
       std::size_t pool_budget_total);
 
  private:

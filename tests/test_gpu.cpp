@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "gpu/blas.hpp"
@@ -645,8 +646,56 @@ TEST(DeviceConfigTest, EnvParsing) {
   EXPECT_GT(cfg.memory_bytes, 0u);
 }
 
+TEST(DevicePool, SplitConfigDividesTheSingleDeviceBudget) {
+  DeviceConfig total = test_config();
+  total.launch_latency_us = 3.0;
+  total.temp_pool_fraction = 0.25;
+  // One device keeps the whole budget.
+  const DeviceConfig one = DevicePool::split_config(total, 1);
+  EXPECT_EQ(one.worker_threads, total.worker_threads);
+  EXPECT_EQ(one.memory_bytes, total.memory_bytes);
+  // Workers and memory divide evenly; latency and pool fraction are
+  // inherited, not divided.
+  const DeviceConfig two = DevicePool::split_config(total, 2);
+  EXPECT_EQ(two.worker_threads, total.worker_threads / 2);
+  EXPECT_EQ(two.memory_bytes, total.memory_bytes / 2);
+  EXPECT_EQ(two.launch_latency_us, total.launch_latency_us);
+  EXPECT_EQ(two.temp_pool_fraction, total.temp_pool_fraction);
+  // More devices than workers still leaves each one worker, and memory
+  // never drops below 1 MiB per device.
+  const DeviceConfig many = DevicePool::split_config(total, 1000);
+  EXPECT_EQ(many.worker_threads, 1);
+  EXPECT_EQ(many.memory_bytes, std::size_t{1} << 20);
+  EXPECT_THROW((void)DevicePool::split_config(total, 0),
+               std::invalid_argument);
+}
+
+TEST(DevicePool, EachTenantSlotIsItsOwnDeviceAndIndicesAreChecked) {
+  EXPECT_THROW(DevicePool(0, test_config()), std::invalid_argument);
+  DevicePool pool(2, DevicePool::split_config(test_config(), 2));
+  ASSERT_EQ(pool.size(), 2u);
+  EXPECT_NE(&pool.context(0), &pool.context(1));
+  EXPECT_NE(&pool.device(0), &pool.device(1));
+  EXPECT_EQ(&pool.device(1), &pool.context(1).device());
+  EXPECT_EQ(pool.device(1).config().memory_bytes,
+            test_config().memory_bytes / 2);
+  EXPECT_THROW((void)pool.context(2), std::invalid_argument);
+  EXPECT_THROW((void)pool.device(2), std::invalid_argument);
+  EXPECT_THROW((void)pool.acquire(2), std::invalid_argument);
+  EXPECT_THROW((void)pool.active_leases(2), std::invalid_argument);
+  // A fresh pool has no outstanding leases, and synchronize() on idle
+  // devices returns.
+  EXPECT_EQ(pool.active_leases(0), 0);
+  EXPECT_EQ(pool.active_leases(1), 0);
+  pool.synchronize();
+}
+
 TEST(DevicePoolLease, AcquireSteersToLeastLoadedShard) {
   DevicePool pool(3, DevicePool::split_config(test_config(), 3));
+  // The split keeps at least one worker per shard and divides memory.
+  const DeviceConfig shard_cfg = pool.device(0).config();
+  EXPECT_GE(shard_cfg.worker_threads, 1);
+  EXPECT_LE(shard_cfg.memory_bytes, test_config().memory_bytes / 3 + 1);
   // Ties break toward the lowest index, then each new lease lands on the
   // emptiest shard.
   DevicePool::Lease a = pool.acquire();

@@ -164,7 +164,7 @@ TEST(PcpgDevice, MatchesHostAcrossGpuRegistryKeys) {
     }
     ++keys_tested;
   }
-  // The registry ships the GPU explicit/implicit/hybrid/sharded families.
+  // The registry ships the GPU explicit/implicit/hybrid families.
   EXPECT_GE(keys_tested, 4);
 }
 

@@ -253,12 +253,11 @@ TEST_P(BatchedApplySweep, BatchedApplyIsLinearAndSymmetricPerColumn) {
     return cfg;
   }());
 
-  // One representative of every GPU family, including a sharded one and
-  // the sparsity-aware variants of each explicit GPU family.
+  // One representative of every GPU family and the sparsity-aware
+  // variants of each explicit GPU family.
   const char* keys[] = {"expl legacy",    "expl modern",    "impl legacy",
-                        "impl modern",    "expl hybrid",    "impl legacy x2",
-                        "expl legacy sp", "expl modern sp", "expl hybrid sp",
-                        "expl legacy sp x2"};
+                        "impl modern",    "expl hybrid",    "expl legacy sp",
+                        "expl modern sp", "expl hybrid sp"};
   const std::string key = keys[seed % (sizeof(keys) / sizeof(keys[0]))];
   core::DualOpConfig cfg =
       core::recommend_config(key, 2, p.max_subdomain_dofs());

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/autotune.hpp"
 #include "core/dualop_registry.hpp"
@@ -46,32 +48,21 @@ FetiProblem heat2d_problem(idx cells = 6, idx splits = 2) {
 // Registry contents and metadata
 // ---------------------------------------------------------------------------
 
-TEST(Registry, ListsTheNineTableThreeKeysAndShardedVariants) {
+TEST(Registry, ListsTheNineTableThreeKeysAndTheirVariants) {
   std::vector<std::string> expected = {
-      "impl mkl",       "impl cholmod",   "impl legacy",    "impl modern",
-      "expl mkl",       "expl cholmod",   "expl legacy",    "expl modern",
-      "expl hybrid",    "expl legacy x2", "expl legacy x4",
-      "expl modern x2", "expl modern x4", "impl legacy x2",
-      "impl legacy x4", "impl modern x2", "impl modern x4",
-      "expl hybrid x2", "expl hybrid x4",
-      // fp32-storage variants of the explicit families (+ sharding).
-      "expl mkl f32",        "expl cholmod f32",    "expl legacy f32",
-      "expl modern f32",     "expl hybrid f32",     "expl legacy f32 x2",
-      "expl legacy f32 x4",  "expl modern f32 x2",  "expl modern f32 x4",
-      "expl hybrid f32 x2",  "expl hybrid f32 x4",
+      "impl mkl",    "impl cholmod", "impl legacy", "impl modern",
+      "expl mkl",    "expl cholmod", "expl legacy", "expl modern",
+      "expl hybrid",
+      // fp32-storage variants of the explicit families.
+      "expl mkl f32",    "expl cholmod f32", "expl legacy f32",
+      "expl modern f32", "expl hybrid f32",
       // sparsity-aware (boundary-restricted) assembly variants of every
-      // explicit family, composed with fp32 storage and sharding.
-      "expl mkl sp",           "expl mkl sp f32",
-      "expl cholmod sp",       "expl cholmod sp f32",
-      "expl legacy sp",        "expl legacy sp f32",
-      "expl legacy sp x2",     "expl legacy sp x4",
-      "expl legacy sp f32 x2", "expl legacy sp f32 x4",
-      "expl modern sp",        "expl modern sp f32",
-      "expl modern sp x2",     "expl modern sp x4",
-      "expl modern sp f32 x2", "expl modern sp f32 x4",
-      "expl hybrid sp",        "expl hybrid sp f32",
-      "expl hybrid sp x2",     "expl hybrid sp x4",
-      "expl hybrid sp f32 x2", "expl hybrid sp f32 x4"};
+      // explicit family, composed with fp32 storage.
+      "expl mkl sp",     "expl mkl sp f32",
+      "expl cholmod sp", "expl cholmod sp f32",
+      "expl legacy sp",  "expl legacy sp f32",
+      "expl modern sp",  "expl modern sp f32",
+      "expl hybrid sp",  "expl hybrid sp f32"};
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(DualOperatorRegistry::instance().keys(), expected);
   EXPECT_EQ(DualOperatorRegistry::instance().size(), expected.size());
@@ -105,20 +96,19 @@ TEST(Registry, SpKeysCarryTheSparsityAxis) {
       EXPECT_TRUE(registry.contains(sibling)) << key;
     }
   }
-  // 2 CPU families × {f64, f32} + (legacy, modern, hybrid) × {f64, f32} ×
-  // {single, x2, x4}.
-  EXPECT_EQ(sp_keys, 22);
+  // 5 explicit families × {f64, f32}.
+  EXPECT_EQ(sp_keys, 10);
 }
 
 TEST(Registry, EveryKeyRoundTripsThroughTheGrammar) {
-  // Key ↔ axis tuple is 1:1 for all 52 keys, the metadata and capability
+  // Key ↔ axis tuple is 1:1 for all 24 keys, the metadata and capability
   // queries follow from the parsed axes, and every operator is named after
   // the key it was created under (checked unprepared: naming is the
   // registry's job, not the operator's).
   auto& registry = DualOperatorRegistry::instance();
   FetiProblem p = heat2d_problem(4);
   const std::vector<std::string> keys = registry.keys();
-  ASSERT_EQ(keys.size(), 52u);
+  ASSERT_EQ(keys.size(), 24u);
   for (const std::string& key : keys) {
     const ApproachAxes axes = parse_axes(key);
     EXPECT_EQ(axes.key(), key);
@@ -140,8 +130,7 @@ TEST(Registry, EveryKeyRoundTripsThroughTheGrammar) {
 
 TEST(Registry, SummariesComposeFromTheirFamily) {
   // `<family summary>[, boundary-restricted panel][, fp32 storage + fp64
-  // accumulation][, sharded across N virtual GPUs]`: no doubled or dangling
-  // separators, and every composed key extends its family's summary.
+  // accumulation]`: no doubled or dangling separators, and every composed key extends its family's summary.
   auto& registry = DualOperatorRegistry::instance();
   const std::vector<std::string> families = registry.families();
   ASSERT_EQ(families.size(), 9u);
@@ -152,7 +141,6 @@ TEST(Registry, SummariesComposeFromTheirFamily) {
     ApproachAxes family = parse_axes(key);
     family.sparsity = false;
     family.precision = Precision::F64;
-    family.shards = 1;
     ASSERT_NE(std::find(families.begin(), families.end(), family.key()),
               families.end())
         << key;
@@ -197,7 +185,6 @@ TEST(ConfigAxes, KeyRoundTripsForAllNineApproaches) {
     // Family keys sit at the defaults of the composed axes.
     EXPECT_FALSE(axes.sparsity) << key;
     EXPECT_EQ(axes.precision, Precision::F64) << key;
-    EXPECT_EQ(axes.shards, 1) << key;
   }
 }
 
@@ -242,12 +229,20 @@ TEST(ConfigAxes, InvalidTuplesAreRejected) {
   EXPECT_THROW(parse_axes("impl hybrid"), std::invalid_argument);
   EXPECT_THROW(parse_axes("expl"), std::invalid_argument);
   EXPECT_THROW(parse_axes("garbage key"), std::invalid_argument);
-  // The shard axis: device-backed families only, 2 or 4 shards, spelled
-  // last and without a redundant " x1".
-  EXPECT_THROW(parse_axes("impl mkl x2"), std::invalid_argument);
-  EXPECT_THROW(parse_axes("expl legacy x3"), std::invalid_argument);
-  EXPECT_THROW(parse_axes("expl legacy x2 sp"), std::invalid_argument);
-  EXPECT_THROW(parse_axes("expl legacy x1"), std::invalid_argument);
+  // There is no shard axis: every operator runs on one device, so no
+  // " xN" suffix parses or names a registered key, on any key or in any
+  // position.
+  auto& registry = DualOperatorRegistry::instance();
+  std::vector<std::string> sharded = {"expl legacy x2", "impl modern x4",
+                                      "expl hybrid sp f32 x2",
+                                      "expl legacy x2 sp", "impl mkl x2"};
+  for (const std::string& key : registry.keys())
+    for (const char* suffix : {" x1", " x2", " x3", " x4"})
+      sharded.push_back(key + suffix);
+  for (const std::string& key : sharded) {
+    EXPECT_THROW(parse_axes(key), std::invalid_argument) << key;
+    EXPECT_FALSE(registry.contains(key)) << key;
+  }
 
   // The precision axis is explicit-only: fp32 has no F̃ to demote on the
   // implicit families.
@@ -308,14 +303,14 @@ TEST(ConfigAxes, DualOpConfigKeyIsTheOnlySelector) {
   DualOpConfig cfg;
   EXPECT_EQ(cfg.key, "impl mkl");
   EXPECT_EQ(cfg.axes(), parse_axes("impl mkl"));
-  cfg.key = "expl legacy x2";
+  cfg.key = "expl legacy sp";
   EXPECT_EQ(cfg.axes().repr, Representation::Explicit);
   EXPECT_EQ(cfg.axes().device, ExecDevice::Gpu);
-  EXPECT_EQ(cfg.axes().shards, 2);
+  EXPECT_TRUE(cfg.axes().sparsity);
 
   DualOpConfig selected;
-  selected.select(parse_axes("expl hybrid sp f32 x4"));
-  EXPECT_EQ(selected.key, "expl hybrid sp f32 x4");
+  selected.select(parse_axes("expl hybrid sp f32"));
+  EXPECT_EQ(selected.key, "expl hybrid sp f32");
 }
 
 TEST(Autotune, RecommendConfigFollowsAxes) {
@@ -341,8 +336,8 @@ TEST(Autotune, RecommendConfigFollowsAxes) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchedApply, MatchesSequentialAppliesForEveryRegisteredKey) {
-  // The full consistency matrix: every registered key (including the x2/x4
-  // sharded variants of all three GPU families) × several batch widths.
+  // The full consistency matrix: every registered key × several batch
+  // widths.
   // The final narrow batch after the widest one exercises the grow-only
   // batch buffers (a draining lockstep block solve shrinks its batch). The
   // loop-fallback counter staying 0 proves that no key — in particular no
@@ -449,7 +444,7 @@ TEST(DeviceApplyPath, HostApplyMatchesApplyDeviceForEveryGpuKey) {
           << "key " << key << " nrhs " << nrhs;
     }
   }
-  EXPECT_EQ(gpu_keys, 42);
+  EXPECT_EQ(gpu_keys, 14);
 }
 
 TEST(DeviceApplyPath, CpuScatterGatherMatchesGpuForEveryGpuKey) {
@@ -505,8 +500,7 @@ TEST(DeviceApplyPath, GpuPreconditionerHostMatchesDevice) {
 
 TEST(MixedPrecision, F32KeysMatchTheirF64SiblingsForEveryBatchWidth) {
   // Every registered " f32" key against the key with the suffix stripped
-  // (sharded variants included: "expl legacy f32 x2" vs "expl legacy x2"),
-  // single and batched applies, within the relaxed fp32 tolerance tier —
+  // ("expl legacy sp f32" vs "expl legacy sp"), single and batched applies, within the relaxed fp32 tolerance tier —
   // the storage is demoted to fp32, so ~1e-7 relative per entry is the
   // floor; 1e-5 leaves headroom for accumulation ordering. The fallback
   // counter staying 0 proves the f32 keys serve batches through the real
@@ -555,13 +549,13 @@ TEST(MixedPrecision, F32KeysMatchTheirF64SiblingsForEveryBatchWidth) {
     EXPECT_EQ(op32->loop_fallback_count(), 0) << key;
   }
   // Every dense f32 key gained an sp f32 sibling, doubling the count.
-  EXPECT_EQ(f32_keys, 22);
+  EXPECT_EQ(f32_keys, 10);
 }
 
 TEST(SparsityAware, SpKeysMatchTheirDenseSiblingsForEveryBatchWidth) {
   // Every registered " sp" key against the dense key with the tag stripped
-  // (sharded and fp32 variants included: "expl legacy sp f32 x2" vs
-  // "expl legacy f32 x2"): the boundary-restricted assembly is an exact
+  // (fp32 variants included: "expl legacy sp f32" vs "expl legacy f32"):
+  // the boundary-restricted assembly is an exact
   // algebraic reformulation — F̃ = B_b (E_b K⁺ E_bᵀ) B_bᵀ = B̃ K⁺ B̃ᵀ because
   // B̃'s column support IS the boundary set — so fp64 sp keys match their
   // dense siblings to round-off and only the fp32 tier is relaxed. The
@@ -613,7 +607,7 @@ TEST(SparsityAware, SpKeysMatchTheirDenseSiblingsForEveryBatchWidth) {
     }
     EXPECT_EQ(op_sp->loop_fallback_count(), 0) << key;
   }
-  EXPECT_EQ(sp_keys, 22);
+  EXPECT_EQ(sp_keys, 10);
 }
 
 TEST(SparsityAware, EndToEndSolveMatchesReferenceOnSpKeys) {
@@ -696,7 +690,7 @@ TEST(Autotune, WorkloadHintSelectsF32Storage) {
   // Bandwidth-bound workloads halve the streamed bytes.
   WorkloadHint bandwidth;
   bandwidth.bandwidth_bound = true;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, bandwidth)
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, bandwidth)
                 .key,
             "expl legacy f32");
   // A memory budget the fp64 footprint overflows (but fp32 fits) demotes:
@@ -705,30 +699,21 @@ TEST(Autotune, WorkloadHintSelectsF32Storage) {
   tight.num_subdomains = 8;
   tight.lambdas_per_subdomain = 1000;
   tight.memory_budget_bytes = 48ull << 20;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, tight).key,
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, tight).key,
             "expl legacy f32");
   // A comfortable budget keeps fp64; a hopeless one (even fp32 overflows)
   // also keeps fp64 — precision cannot save that run.
   WorkloadHint roomy = tight;
   roomy.memory_budget_bytes = 256ull << 20;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, roomy).key,
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, roomy).key,
             "expl legacy");
   WorkloadHint hopeless = tight;
   hopeless.memory_budget_bytes = 8ull << 20;
   EXPECT_EQ(
-      recommend_config(expl_gpu, 3, 20000, 1, {}, hopeless).key,
+      recommend_config(expl_gpu, 3, 20000, 1, hopeless).key,
       "expl legacy");
-  // The sharded remap composes: the budget is per shard, and the f32 tag
-  // sits before the shard suffix.
-  gpu::DeviceTopology two;
-  two.num_devices = 2;
-  WorkloadHint per_shard = tight;
-  per_shard.memory_budget_bytes = 24ull << 20;  // 2 shards × 24 MB < 64 MB
-  EXPECT_EQ(
-      recommend_config(expl_gpu, 3, 20000, 1, two, per_shard).key,
-      "expl legacy f32 x2");
   // Implicit families have no F̃ storage: the hint never touches them.
-  EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1, {},
+  EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1,
                              bandwidth)
                 .key,
             "impl legacy");
@@ -743,32 +728,28 @@ TEST(Autotune, WorkloadHintSelectsSparsityAwareAssembly) {
   // boundary-restricted solve panel.
   WorkloadHint interior;
   interior.boundary_fraction = 0.2;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, interior)
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, interior)
                 .key,
             "expl legacy sp");
   // Boundary-dominated subdomains keep the dense panel: the sp expansion
   // SpMMs would be pure overhead.
   WorkloadHint surface;
   surface.boundary_fraction = 0.9;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, surface)
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, surface)
                 .key,
             "expl legacy");
-  // Composes with the precision hint and the sharded topology remap: the
-  // tags stack as "<base> sp f32 xN" per the key grammar.
+  // Composes with the precision hint: the tags stack as "<base> sp f32"
+  // per the key grammar.
   WorkloadHint both = interior;
   both.bandwidth_bound = true;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, {}, both).key,
+  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, both).key,
             "expl legacy sp f32");
-  gpu::DeviceTopology two;
-  two.num_devices = 2;
-  EXPECT_EQ(recommend_config(expl_gpu, 3, 20000, 1, two, both).key,
-            "expl legacy sp f32 x2");
   // CPU explicit axes take the hint too; implicit families never do.
-  EXPECT_EQ(recommend_config(parse_axes("expl mkl"), 3, 20000, 1, {},
+  EXPECT_EQ(recommend_config(parse_axes("expl mkl"), 3, 20000, 1,
                              interior)
                 .key,
             "expl mkl sp");
-  EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1, {},
+  EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1,
                              interior)
                 .key,
             "impl legacy");
@@ -864,7 +845,7 @@ TEST(PcpgBlock, SolveManyMatchesIndividualSolves) {
 }
 
 // ---------------------------------------------------------------------------
-// Execution context, device pool, and sharded operators
+// Execution context
 // ---------------------------------------------------------------------------
 
 TEST(ExecutionContext, StreamSpanClampsAndSharesThePool) {
@@ -891,152 +872,135 @@ TEST(ExecutionContext, StreamSpanClampsAndSharesThePool) {
   ctx.synchronize();
 }
 
-TEST(DevicePool, PartitionsSubdomainsRoundRobin) {
-  gpu::DeviceConfig cfg;
-  cfg.worker_threads = 4;
-  cfg.launch_latency_us = 0.0;
-  cfg.memory_bytes = 64ull << 20;
-  gpu::DevicePool pool(3, gpu::DevicePool::split_config(cfg, 3));
-  EXPECT_EQ(pool.size(), 3u);
-  EXPECT_EQ(pool.topology().num_devices, 3);
-  // Every subdomain is owned by exactly one shard.
-  const idx nsub = 8;
-  std::vector<int> seen(static_cast<std::size_t>(nsub), 0);
-  for (std::size_t shard = 0; shard < pool.size(); ++shard)
-    for (idx s : pool.owned_subdomains(shard, nsub)) {
-      EXPECT_EQ(pool.shard_of(s), shard);
-      seen[static_cast<std::size_t>(s)] += 1;
-    }
-  for (int count : seen) EXPECT_EQ(count, 1);
-  // The split keeps at least one worker per shard and divides memory.
-  const gpu::DeviceConfig shard_cfg = pool.device(0).config();
-  EXPECT_GE(shard_cfg.worker_threads, 1);
-  EXPECT_LE(shard_cfg.memory_bytes, cfg.memory_bytes / 3 + 1);
-}
+// ---------------------------------------------------------------------------
+// Single-device GPU operators: each operator runs all of its cluster's
+// subdomains on one device, whatever their count
+// ---------------------------------------------------------------------------
 
-TEST(Autotune, TopologyHintSelectsShardedVariantsAndStreams) {
-  const ApproachAxes axes = parse_axes("expl legacy");
-  gpu::DeviceTopology two;
-  two.num_devices = 2;
-  EXPECT_EQ(recommend_config(axes, 3, 20000, 1, two).key,
-            "expl legacy x2");
-  gpu::DeviceTopology many;
-  many.num_devices = 8;
-  many.streams_per_device = 6;
-  DualOpConfig cfg = recommend_config(axes, 3, 20000, 1, many);
-  EXPECT_EQ(cfg.key, "expl legacy x4");
-  EXPECT_EQ(cfg.gpu.streams, 6);
-  // Implicit and hybrid families have sharded registrations too, so the
-  // topology routes them as well; CPU axes are unaffected.
-  EXPECT_EQ(recommend_config(parse_axes("impl legacy"), 3, 20000, 1, many)
-                .key,
-            "impl legacy x4");
-  EXPECT_EQ(recommend_config(parse_axes("expl hybrid"), 3, 20000, 1, two)
-                .key,
-            "expl hybrid x2");
-  EXPECT_EQ(recommend_config(parse_axes("expl mkl"), 3, 20000, 1, many)
-                .key,
-            "expl mkl");
-  EXPECT_EQ(recommend_config(parse_axes("impl cholmod"), 3, 20000, 1, many)
-                .key,
-            "impl cholmod");
-}
-
-TEST(ShardedOperator, MatchesSingleDeviceOperator) {
-  // 3x3 subdomains so two shards own unequal subsets (5 + 4).
-  FetiProblem p = heat2d_problem(9, 3);
-  const idx n = p.num_lambdas;
-  Rng rng(71);
-  std::vector<double> x(static_cast<std::size_t>(n) * 2);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-
-  auto run = [&](const std::string& key) {
-    gpu::DeviceConfig cfg;
-    cfg.worker_threads = 4;
-    cfg.launch_latency_us = 0.0;
-    cfg.memory_bytes = 512ull << 20;
-    gpu::ExecutionContext ctx(cfg);
-    auto& registry = DualOperatorRegistry::instance();
-    DualOpConfig c = recommend_config(key, 2, p.max_subdomain_dofs());
-    auto op = registry.create(key, p, c, &ctx);
-    EXPECT_EQ(std::string(op->name()), key);
-    op->prepare();
-    op->update_values();
-    std::vector<double> y(x.size(), 0.0);
-    op->apply(x.data(), y.data(), 2);
-    std::vector<double> d(static_cast<std::size_t>(n));
-    op->compute_d(d.data());
-    return std::make_pair(std::move(y), std::move(d));
-  };
-
-  const auto [y_single, d_single] = run("expl legacy");
-  const auto [y_sharded, d_sharded] = run("expl legacy x2");
-  double scale = 0.0;
-  for (double v : y_single) scale = std::max(scale, std::fabs(v));
-  for (std::size_t i = 0; i < y_single.size(); ++i)
-    EXPECT_NEAR(y_sharded[i], y_single[i], 1e-10 * std::max(1.0, scale))
-        << "entry " << i;
-  // compute_d routes kplus_solve through the owning shard.
-  for (std::size_t i = 0; i < d_single.size(); ++i)
-    EXPECT_NEAR(d_sharded[i], d_single[i], 1e-10);
-}
-
-TEST(ShardedOperator, EndToEndSolveMatchesReference) {
-  FetiProblem p = heat2d_problem(8, 2);
+/// Applies F to two probe columns and computes d on `key`, on a fresh
+/// single-device context.
+std::pair<std::vector<double>, std::vector<double>> apply_and_d(
+    const FetiProblem& p, const std::string& key) {
   gpu::DeviceConfig cfg;
   cfg.worker_threads = 4;
   cfg.launch_latency_us = 0.0;
   cfg.memory_bytes = 512ull << 20;
   gpu::ExecutionContext ctx(cfg);
-  FetiSolverOptions opts;
-  opts.dualop = recommend_config("expl legacy x2", 2,
-                                 p.max_subdomain_dofs());
-  opts.pcpg.rel_tolerance = 1e-10;
-  FetiSolver solver(p, opts, &ctx);
-  solver.prepare();
-  FetiStepResult res = solver.solve_step();
-  ASSERT_TRUE(res.converged);
-  mesh::Mesh m = mesh::make_grid_2d(8, 8, ElementOrder::Linear);
-  auto u_ref = fem::reference_solve(
-      fem::assemble_global(m, Physics::HeatTransfer));
-  ASSERT_EQ(res.u.size(), u_ref.size());
-  for (std::size_t i = 0; i < u_ref.size(); ++i)
-    EXPECT_NEAR(res.u[i], u_ref[i], 1e-7);
+  const idx n = p.num_lambdas;
+  Rng rng(71);
+  std::vector<double> x(static_cast<std::size_t>(n) * 2);
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  DualOpConfig c = recommend_config(key, 2, p.max_subdomain_dofs());
+  auto op = DualOperatorRegistry::instance().create(key, p, c, &ctx);
+  op->prepare();
+  op->update_values();
+  std::vector<double> y(x.size(), 0.0);
+  op->apply(x.data(), y.data(), 2);
+  std::vector<double> d(static_cast<std::size_t>(n));
+  op->compute_d(d.data());
+  return {std::move(y), std::move(d)};
 }
 
-TEST(ShardedOperator, ShardsExceedingSubdomainsOwnNothing) {
-  // x4 on a single-subdomain decomposition (three shards own nothing at
-  // all) and on a 2x2 one (each shard owns exactly one subdomain).
-  // Regression for the former: an empty owned list must not fall into the
-  // "empty means all subdomains" factory convention, which would
-  // multiply-count every contribution in the merged dual vector.
+TEST(GpuOperator, MatchesCpuOperatorOnAnOddSubdomainCount) {
+  // 3x3 subdomains: an odd count the GPU families must cover in full, on
+  // one device, for the batched apply and for compute_d (kplus_solve).
+  FetiProblem p = heat2d_problem(9, 3);
+  const auto [y_ref, d_ref] = apply_and_d(p, "impl mkl");
+  double scale = 0.0;
+  for (double v : y_ref) scale = std::max(scale, std::fabs(v));
+  scale = std::max(1.0, scale);
+  for (const char* key : {"impl legacy", "impl modern", "expl legacy",
+                          "expl modern", "expl hybrid", "expl legacy sp"}) {
+    const auto [y, d] = apply_and_d(p, key);
+    ASSERT_EQ(y.size(), y_ref.size()) << key;
+    for (std::size_t i = 0; i < y.size(); ++i)
+      EXPECT_NEAR(y[i], y_ref[i], 1e-8 * scale) << "entry " << i << " " << key;
+    for (std::size_t i = 0; i < d.size(); ++i)
+      EXPECT_NEAR(d[i], d_ref[i], 1e-8 * scale) << "entry " << i << " " << key;
+  }
+}
+
+TEST(GpuOperator, SingleSubdomainClusterMatchesCpuOperator) {
+  // The degenerate cluster of one subdomain next to the 2x2 one: the GPU
+  // operator's dual vector must hold each subdomain's contribution exactly
+  // once.
   for (idx splits : {1, 2}) {
     FetiProblem p = heat2d_problem(4, splits);
-    gpu::DeviceConfig cfg;
-    cfg.worker_threads = 4;
-    cfg.launch_latency_us = 0.0;
-    cfg.memory_bytes = 512ull << 20;
-    gpu::ExecutionContext ctx(cfg);
-    auto& registry = DualOperatorRegistry::instance();
-    DualOpConfig c = recommend_config("expl legacy x4", 2,
-                                      p.max_subdomain_dofs());
-    auto op = registry.create("expl legacy x4", p, c, &ctx);
-    op->prepare();
-    op->update_values();
-
-    DualOpConfig ref_cfg;
-    ref_cfg.key = "impl mkl";
-    auto ref = make_dual_operator(p, ref_cfg);
-    ref->prepare();
-    ref->update_values();
-
-    std::vector<double> x(static_cast<std::size_t>(p.num_lambdas), 1.0);
-    std::vector<double> y(x.size()), y_ref(x.size());
-    op->apply(x.data(), y.data());
-    ref->apply(x.data(), y_ref.data());
-    for (std::size_t i = 0; i < y.size(); ++i)
-      EXPECT_NEAR(y[i], y_ref[i], 1e-9) << "splits " << splits;
+    const auto [y_ref, d_ref] = apply_and_d(p, "impl mkl");
+    for (const char* key : {"expl legacy", "impl legacy", "expl hybrid"}) {
+      const auto [y, d] = apply_and_d(p, key);
+      for (std::size_t i = 0; i < y.size(); ++i)
+        EXPECT_NEAR(y[i], y_ref[i], 1e-9)
+            << "splits " << splits << " " << key << " entry " << i;
+      for (std::size_t i = 0; i < d.size(); ++i)
+        EXPECT_NEAR(d[i], d_ref[i], 1e-9)
+            << "splits " << splits << " " << key << " entry " << i;
+    }
   }
+}
+
+TEST(GpuOperator, EndToEndSolveOnAnOddSubdomainCountMatchesReference) {
+  // Full PCPG on 3x3 subdomains through one key per GPU family against the
+  // global direct solve.
+  FetiProblem p = heat2d_problem(9, 3);
+  mesh::Mesh m = mesh::make_grid_2d(9, 9, ElementOrder::Linear);
+  const auto u_ref = fem::reference_solve(
+      fem::assemble_global(m, Physics::HeatTransfer));
+  double scale = 1.0;
+  for (double v : u_ref) scale = std::max(scale, std::fabs(v));
+  for (const char* key : {"impl legacy", "expl legacy", "expl hybrid"}) {
+    FetiSolverOptions opts;
+    opts.dualop = recommend_config(key, 2, p.max_subdomain_dofs());
+    opts.pcpg.rel_tolerance = 1e-10;
+    FetiSolver solver(p, opts, &test_context());
+    solver.prepare();
+    const FetiStepResult res = solver.solve_step();
+    ASSERT_TRUE(res.converged) << key;
+    ASSERT_EQ(res.u.size(), u_ref.size()) << key;
+    for (std::size_t i = 0; i < u_ref.size(); ++i)
+      EXPECT_NEAR(res.u[i], u_ref[i], 1e-7 * scale) << key;
+  }
+}
+
+TEST(Registry, CreateRejectsDeviceCountSuffixes) {
+  // No key names a device count, so neither entry point builds one.
+  auto& registry = DualOperatorRegistry::instance();
+  FetiProblem p = heat2d_problem(4);
+  for (const char* key : {"expl legacy x2", "impl legacy x4",
+                          "expl hybrid x2", "expl legacy sp f32 x2",
+                          "expl legacy x1"}) {
+    DualOpConfig cfg;
+    EXPECT_THROW(registry.create(key, p, cfg, &test_context()),
+                 std::invalid_argument)
+        << key;
+    cfg.key = key;
+    EXPECT_THROW(make_dual_operator(p, cfg, &test_context()),
+                 std::invalid_argument)
+        << key;
+  }
+}
+
+TEST(Autotune, EveryRecommendationIsARegisteredKey) {
+  // Whatever the family, batch width and workload hint, the recommended
+  // key is one the registry can build.
+  auto& registry = DualOperatorRegistry::instance();
+  WorkloadHint none;
+  WorkloadHint bandwidth;
+  bandwidth.bandwidth_bound = true;
+  WorkloadHint interior;
+  interior.boundary_fraction = 0.2;
+  WorkloadHint both = interior;
+  both.bandwidth_bound = true;
+  for (const std::string& family : registry.families())
+    for (int nrhs : {1, 4, 64})
+      for (const WorkloadHint& hint : {none, bandwidth, interior, both}) {
+        const DualOpConfig cfg =
+            recommend_config(parse_axes(family), 3, 20000, nrhs, hint);
+        EXPECT_TRUE(registry.contains(cfg.key)) << family << " -> " << cfg.key;
+        EXPECT_EQ(cfg.axes().repr, parse_axes(family).repr) << family;
+        EXPECT_EQ(cfg.axes().device, parse_axes(family).device) << family;
+        EXPECT_EQ(cfg.axes().backend, parse_axes(family).backend) << family;
+      }
 }
 
 TEST(FetiSolverBlock, SolveStepManyMatchesSolveStepOnGpuKey) {

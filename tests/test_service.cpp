@@ -52,8 +52,7 @@ FetiStepResult solo_solve(const FetiProblem& p, const std::string& key,
                           double rel_tolerance = 1e-10) {
   gpu::ExecutionContext ctx{gpu::DeviceConfig::from_env()};
   FetiSolverOptions o;
-  o.dualop = core::recommend_config(key, 2, p.max_subdomain_dofs(), 1,
-                                    gpu::DeviceTopology{1, 0});
+  o.dualop = core::recommend_config(key, 2, p.max_subdomain_dofs());
   o.pcpg.rel_tolerance = rel_tolerance;
   FetiSolver solver(p, o, &ctx);
   solver.prepare();
@@ -95,8 +94,7 @@ OperatorPool::SolverFactory factory_for(const FetiProblem& p,
                                         const std::string& key) {
   return [&p, key](gpu::ExecutionContext& ctx) {
     FetiSolverOptions o;
-    o.dualop = core::recommend_config(key, 2, p.max_subdomain_dofs(), 1,
-                                      gpu::DeviceTopology{1, 0});
+    o.dualop = core::recommend_config(key, 2, p.max_subdomain_dofs());
     return std::make_unique<FetiSolver>(p, o, &ctx);
   };
 }
@@ -352,19 +350,18 @@ TEST(SolverService, AutotunedKeyDemotesToF32UnderPoolPressure) {
 
   // Roomy pool: fp64 explicit GPU assembly.
   core::DualOpConfig roomy = SolverService::plan_config(
-      job, 2, gpu::DeviceTopology{1, 0}, /*remaining=*/blocks * 64,
-      /*total=*/blocks * 64);
+      job, 2, /*remaining=*/blocks * 64, /*total=*/blocks * 64);
   EXPECT_EQ(roomy.axes().precision, core::Precision::F64);
   // Crowded pool (remaining budget between the fp32 and fp64 footprints):
   // the planner demotes the new entry to the fp32 storage tier.
   core::DualOpConfig tight = SolverService::plan_config(
-      job, 2, gpu::DeviceTopology{1, 0},
-      /*remaining=*/blocks * sizeof(double) - 1, /*total=*/blocks * 64);
+      job, 2, /*remaining=*/blocks * sizeof(double) - 1,
+      /*total=*/blocks * 64);
   EXPECT_EQ(tight.axes().precision, core::Precision::F32);
   EXPECT_NE(tight.key.find(" f32"), std::string::npos);
   // No budget configured (total == 0): never demote.
-  core::DualOpConfig unlimited = SolverService::plan_config(
-      job, 2, gpu::DeviceTopology{1, 0}, /*remaining=*/0, /*total=*/0);
+  core::DualOpConfig unlimited =
+      SolverService::plan_config(job, 2, /*remaining=*/0, /*total=*/0);
   EXPECT_EQ(unlimited.axes().precision, core::Precision::F64);
 }
 
@@ -374,8 +371,7 @@ TEST(SolverService, CustomDualRhsWaveMatchesSequentialSolves) {
   FetiProblem p = heat2d_problem();
   gpu::ExecutionContext ctx{gpu::DeviceConfig::from_env()};
   FetiSolverOptions o;
-  o.dualop = core::recommend_config("expl legacy", 2, p.max_subdomain_dofs(),
-                                    1, gpu::DeviceTopology{1, 0});
+  o.dualop = core::recommend_config("expl legacy", 2, p.max_subdomain_dofs());
   o.pcpg.rel_tolerance = 1e-10;
   FetiSolver solo(p, o, &ctx);
   solo.prepare();
@@ -433,8 +429,7 @@ TEST(DualOperatorCounters, SafeForConcurrentReadersDuringUpdates) {
   // snapshot them while the owner thread drives the lifecycle. Monotone
   // non-decreasing snapshots prove the readers never see torn state.
   FetiProblem p = heat2d_problem();
-  auto cfg = core::recommend_config("impl mkl", 2, p.max_subdomain_dofs(), 1,
-                                    gpu::DeviceTopology{1, 0});
+  auto cfg = core::recommend_config("impl mkl", 2, p.max_subdomain_dofs());
   auto op = core::make_dual_operator(p, cfg, nullptr);
   op->prepare();
   op->update_values();

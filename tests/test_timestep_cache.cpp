@@ -4,14 +4,13 @@
 // dirty subdomains. These tests pin the cache semantics for every
 // registered key: a clean step performs zero refactorizations and leaves
 // the apply results bit-identical, a targeted dirty mark refreshes exactly
-// the marked subdomains, the sharded wrapper aggregates per-shard skip
-// decisions, and the hash fallback catches unmarked in-place mutation.
+// the marked subdomains, and the hash fallback catches unmarked in-place
+// mutation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -225,68 +224,53 @@ TEST(TimestepCache, F32DirtyRefreshRedemotesOnlyTheRefreshedBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded wrapper aggregation
+// Odd subdomain counts on one device
 // ---------------------------------------------------------------------------
 
-TEST(TimestepCache, ShardedWrapperAggregatesSkipDecisions) {
-  // 3x3 subdomains over two shards (5 + 4): whole-step skips are
-  // wrapper-level, per-subdomain counts sum over the disjoint shard
-  // subsets, and a single dirty subdomain refreshes only inside the
-  // owning shard. Run for the dense and the sparsity-aware sharded keys —
-  // the sp wrapper must aggregate per-shard skips identically.
-  for (const char* sharded_key : {"expl legacy x2", "expl legacy sp x2"}) {
-    const std::string base =
-        std::string(sharded_key).substr(0, std::strlen(sharded_key) - 3);
+TEST(TimestepCache, OneDirtySubdomainOfNineRefreshesAloneOnGpuKeys) {
+  // 3x3 subdomains on one device: a clean step is skipped whole, one dirty
+  // subdomain refreshes alone (the step is then not skipped), and the
+  // partially refreshed state matches a cold operator on the current
+  // values. Run for the dense and the sparsity-aware explicit keys and an
+  // implicit one.
+  for (const char* key : {"expl legacy", "expl legacy sp", "impl legacy"}) {
     FetiProblem p = heat2d_problem(9, 3);
     const long nsub = static_cast<long>(p.num_subdomains());
-    DualOpConfig cfg = recommend_config(sharded_key, 2,
-                                        p.max_subdomain_dofs());
-    auto op = DualOperatorRegistry::instance().create(sharded_key, p, cfg,
+    ASSERT_EQ(nsub, 9);
+    DualOpConfig cfg = recommend_config(key, 2, p.max_subdomain_dofs());
+    auto op = DualOperatorRegistry::instance().create(key, p, cfg,
                                                       &test_context());
     op->prepare();
     op->update_values();
-    CacheStats s1 = op->cache_stats();
-    EXPECT_EQ(s1.steps, 1) << sharded_key;
-    EXPECT_EQ(s1.skipped_steps, 0) << sharded_key;
-    EXPECT_EQ(s1.refreshed_subdomains, nsub) << sharded_key;
     const long cols1 = op->solve_columns();
-    EXPECT_GT(cols1, 0) << sharded_key;
 
-    // Clean step: both shards skip, the wrapper reports one skipped step,
-    // and no shard solved a single extra K⁻¹ column.
     op->update_values();
     CacheStats s2 = op->cache_stats();
-    EXPECT_EQ(s2.steps, 2) << sharded_key;
-    EXPECT_EQ(s2.skipped_steps, 1) << sharded_key;
-    EXPECT_EQ(s2.refreshed_subdomains, nsub) << sharded_key;
-    EXPECT_EQ(s2.skipped_subdomains, nsub) << sharded_key;
-    EXPECT_EQ(op->solve_columns(), cols1) << sharded_key;
+    EXPECT_EQ(s2.steps, 2) << key;
+    EXPECT_EQ(s2.skipped_steps, 1) << key;
+    EXPECT_EQ(s2.refreshed_subdomains, nsub) << key;
+    EXPECT_EQ(s2.skipped_subdomains, nsub) << key;
+    EXPECT_EQ(op->solve_columns(), cols1) << key;
 
-    // One dirty subdomain: the owning shard refreshes it, the other shard
-    // skips everything — so the step is NOT skipped but refreshes exactly
-    // 1.
-    decomp::scale_subdomain(p, 3, 2.0);
+    decomp::scale_subdomain(p, 4, 2.0);
     op->update_values();
     CacheStats s3 = op->cache_stats();
-    EXPECT_EQ(s3.steps, 3) << sharded_key;
-    EXPECT_EQ(s3.skipped_steps, 1) << sharded_key;
-    EXPECT_EQ(s3.refreshed_subdomains, nsub + 1) << sharded_key;
-    EXPECT_EQ(s3.skipped_subdomains, 2 * nsub - 1) << sharded_key;
+    EXPECT_EQ(s3.steps, 3) << key;
+    EXPECT_EQ(s3.skipped_steps, 1) << key;
+    EXPECT_EQ(s3.refreshed_subdomains, nsub + 1) << key;
+    EXPECT_EQ(s3.skipped_subdomains, 2 * nsub - 1) << key;
 
-    // The partially refreshed sharded state matches a cold single-device
-    // operator on the current values.
     const std::vector<double> x = probe_vector(p.num_lambdas, 13);
     std::vector<double> y(x.size(), 0.0), y_ref(x.size(), 0.0);
     op->apply(x.data(), y.data());
-    DualOpConfig ref_cfg = recommend_config(base, 2, p.max_subdomain_dofs());
-    auto ref = make_dual_operator(p, ref_cfg, &test_context());
-    ref->prepare();
-    ref->update_values();
-    ref->apply(x.data(), y_ref.data());
+    auto cold = DualOperatorRegistry::instance().create(key, p, cfg,
+                                                        &test_context());
+    cold->prepare();
+    cold->update_values();
+    cold->apply(x.data(), y_ref.data());
     const double scale = std::max(1.0, max_abs(y_ref));
     for (std::size_t i = 0; i < y.size(); ++i)
-      EXPECT_NEAR(y[i], y_ref[i], 1e-10 * scale)
-          << "entry " << i << " " << sharded_key;
+      EXPECT_NEAR(y[i], y_ref[i], 1e-10 * scale) << "entry " << i << " " << key;
   }
 }
 
