@@ -67,6 +67,69 @@ void BM_Symv(benchmark::State& state) {
 }
 BENCHMARK(BM_Symv)->Arg(256)->Arg(1024);
 
+// The explicit apply's dense blocks at the sizes of fetibench's apply
+// workload (F̃ᵢ and M̃ᵢ are 217 × 217 and 281 × 281 there): one stored
+// triangle, column-major as the operators store it, upper (arg 0) or lower
+// (arg 1). Bytes processed count the stored triangle once per call, so the
+// bytes_per_second counter reads against the host's memory bandwidth.
+template <typename T>
+la::DenseMatrixT<T> sym_block(benchmark::State& state, la::Uplo& uplo) {
+  const idx m = static_cast<idx>(state.range(0));
+  uplo = state.range(1) == 0 ? la::Uplo::Upper : la::Uplo::Lower;
+  const la::DenseMatrix full = random_dense(m, m, la::Layout::ColMajor, 9);
+  la::DenseMatrixT<T> a(m, m, la::Layout::ColMajor);
+  for (idx c = 0; c < m; ++c)
+    for (idx r = 0; r < m; ++r) a.at(r, c) = static_cast<T>(full.at(r, c));
+  return a;
+}
+
+template <typename T>
+void set_triangle_bytes(benchmark::State& state, idx m) {
+  state.SetBytesProcessed(state.iterations() * m * (m + 1) / 2 *
+                          static_cast<std::int64_t>(sizeof(T)));
+}
+
+template <typename T>
+void BM_SymvBlock(benchmark::State& state) {
+  la::Uplo uplo{};
+  const la::DenseMatrixT<T> a = sym_block<T>(state, uplo);
+  const idx m = a.rows();
+  std::vector<T> x(static_cast<std::size_t>(m), T(1)), y(x);
+  for (auto _ : state) {
+    la::symv(uplo, 1.0, a.cview(), x.data(), 0.0, y.data());
+    benchmark::DoNotOptimize(y.data());
+  }
+  set_triangle_bytes<T>(state, m);
+}
+BENCHMARK_TEMPLATE(BM_SymvBlock, double)
+    ->ArgsProduct({{217, 281}, {0, 1}})
+    ->ArgNames({"m", "lower"});
+BENCHMARK_TEMPLATE(BM_SymvBlock, float)
+    ->ArgsProduct({{217, 281}, {0, 1}})
+    ->ArgNames({"m", "lower"});
+
+/// SYMM over an 8-wide row-major panel, the batched apply's layout.
+template <typename T>
+void BM_SymmBlock(benchmark::State& state) {
+  la::Uplo uplo{};
+  const la::DenseMatrixT<T> a = sym_block<T>(state, uplo);
+  const idx m = a.rows(), w = 8;
+  la::DenseMatrixT<T> b(m, w, la::Layout::RowMajor), c(b);
+  for (idx r = 0; r < m; ++r)
+    for (idx j = 0; j < w; ++j) b.at(r, j) = T(1);
+  for (auto _ : state) {
+    la::symm(uplo, 1.0, a.cview(), b.cview(), 0.0, c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  set_triangle_bytes<T>(state, m);
+}
+BENCHMARK_TEMPLATE(BM_SymmBlock, double)
+    ->ArgsProduct({{217, 281}, {0, 1}})
+    ->ArgNames({"m", "lower"});
+BENCHMARK_TEMPLATE(BM_SymmBlock, float)
+    ->ArgsProduct({{217, 281}, {0, 1}})
+    ->ArgNames({"m", "lower"});
+
 void BM_Syrk(benchmark::State& state) {
   const idx n = static_cast<idx>(state.range(0));
   const idx k = 4 * n;

@@ -101,7 +101,7 @@ class Backend {
   double* tout = nullptr;    ///< preconditioner staging, out
   double* gram = nullptr;    ///< PᵀFP block
   double* coeff = nullptr;   ///< per-system Gram coefficient columns
-  double* out = nullptr;     ///< scalar return block
+  double* out = nullptr;     ///< scalar return block, 2 × nsys
 
   /// Runs an operation body inline (host) or stream-ordered on the device.
   template <class Body>
@@ -112,14 +112,18 @@ class Backend {
       stream_.submit(std::move(body));
   }
 
+  /// `count` doubles of backend memory → host memory, stream-ordered: the
+  /// values are complete after the next synchronize().
+  void fetch(double* dst, const double* src, std::size_t count) {
+    if (ctx_ == nullptr)
+      std::copy_n(src, count, dst);
+    else
+      stream_.memcpy_d2h(dst, src, count * sizeof(double));
+  }
   /// `count` doubles of backend memory → host memory (D2H + drain).
   void read(double* dst, const double* src, std::size_t count) {
-    if (ctx_ == nullptr) {
-      std::copy_n(src, count, dst);
-      return;
-    }
-    stream_.memcpy_d2h(dst, src, count * sizeof(double));
-    stream_.synchronize();
+    fetch(dst, src, count);
+    synchronize();
   }
   /// `count` doubles of host memory → backend memory (stream-ordered H2D).
   void write(double* dst, const double* src, std::size_t count) {
@@ -132,21 +136,32 @@ class Backend {
     if (ctx_ != nullptr) stream_.synchronize();
   }
 
-  /// ‖xs[b]‖₂ for every column, read back as one scalar block.
-  std::vector<double> nrm2_many(std::vector<const double*> xs) {
-    run([xs, n = n_, o = out] {
+  /// o[b] = ‖xs[b]‖₂ for every column (o in backend memory).
+  void nrm2_into(std::vector<const double*> xs, double* o) {
+    run([xs, n = n_, o] {
       for (std::size_t b = 0; b < xs.size(); ++b) o[b] = la::nrm2(n, xs[b]);
     });
-    return scalars(xs.size());
+  }
+  /// o[b] = xs[b]ᵀys[b] for every column (o in backend memory).
+  void dot_into(std::vector<const double*> xs, std::vector<const double*> ys,
+                double* o) {
+    run([xs, ys, n = n_, o] {
+      for (std::size_t b = 0; b < xs.size(); ++b)
+        o[b] = la::dot(n, xs[b], ys[b]);
+    });
+  }
+  /// ‖xs[b]‖₂ for every column, read back as one scalar block.
+  std::vector<double> nrm2_many(std::vector<const double*> xs) {
+    const std::size_t count = xs.size();
+    nrm2_into(std::move(xs), out);
+    return scalars(count);
   }
   /// xs[b]ᵀys[b] for every column, read back as one scalar block.
   std::vector<double> dot_many(std::vector<const double*> xs,
                                std::vector<const double*> ys) {
-    run([xs, ys, n = n_, o = out] {
-      for (std::size_t b = 0; b < xs.size(); ++b)
-        o[b] = la::dot(n, xs[b], ys[b]);
-    });
-    return scalars(xs.size());
+    const std::size_t count = xs.size();
+    dot_into(std::move(xs), std::move(ys), out);
+    return scalars(count);
   }
   /// ys[b] += alphas[b] · xs[b].
   void axpy_many(std::vector<double> alphas, std::vector<const double*> xs,
@@ -222,7 +237,8 @@ class Backend {
 
  private:
   static std::size_t slab_size(idx n, std::size_t nsys) {
-    return static_cast<std::size_t>(n) * 9 * nsys + 2 * nsys * nsys + nsys;
+    return static_cast<std::size_t>(n) * 9 * nsys + 2 * nsys * nsys +
+           2 * nsys;
   }
   void bind(double* base, std::size_t nsys) {
     base_ = base;
@@ -383,7 +399,12 @@ class Engine {
     for (std::size_t j = 0; j < sys_.size(); ++j)
       if (sys_[j].active) active.push_back(j);
     if (active.empty()) return batch;
-    const std::vector<double> norms = be.nrm2_many(pick(be.w, active));
+    // The previous step fetched these norms with its last scalar read when
+    // its systems are still the active set; otherwise read them now.
+    const std::vector<double> norms = norm_systems_ == active
+                                          ? std::move(next_norms_)
+                                          : be.nrm2_many(pick(be.w, active));
+    norm_systems_.clear();
     for (std::size_t b = 0; b < active.size(); ++b) {
       const std::size_t j = active[b];
       System& s = sys_[j];
@@ -432,8 +453,12 @@ class Engine {
     be.project(projector_, pick(be.r, pending),
                pick<double>(be.w, pending));                       // line 11
     precondition(pending);                                        // line 12
-    const std::vector<double> wy =
-        be.dot_many(pick(be.w, pending), pick(be.y, pending));
+    const std::size_t k = pending.size();
+    std::vector<double> wy(k);
+    be.dot_into(pick(be.w, pending), pick(be.y, pending), be.out);
+    be.fetch(wy.data(), be.out, k);
+    fetch_norms(pending, be.out + k);
+    be.synchronize();
     std::vector<double> betas;
     for (std::size_t b = 0; b < pending.size(); ++b) {
       System& s = sys_[pending[b]];
@@ -466,7 +491,11 @@ class Engine {
                la::Trans::No, 0.0,
                la::DenseView{g, width, width, width, la::Layout::ColMajor});
     });
-    be.read(gram_mat.data(), be.gram, cw * cw);
+    // Pᵀw (= Pᵀr for projected panels) rides the Gram block's round trip.
+    const std::vector<const double*> ws = pick(be.w, batch);
+    fetch_coefficients(panel, ws);
+    be.fetch(gram_mat.data(), be.gram, cw * cw);
+    be.synchronize();
     gram_.factor(gram_mat, options_.block.pivot_rel_tolerance);
     if (gram_.rank() == 0) {
       // The whole panel lost positive definiteness — nothing can advance.
@@ -478,12 +507,10 @@ class Engine {
       return;
     }
 
-    // Step: α = Gram⁻¹ Pᵀw (pᵀr = pᵀw for projected panels), λ += P α,
-    // r −= Q α.
-    const std::vector<const double*> ws = pick(be.w, batch);
+    // Step: α = Gram⁻¹ Pᵀw, λ += P α, r −= Q α.
     const std::vector<double*> lams = pick<double>(be.lambda, batch);
     const std::vector<double*> rs = pick<double>(be.r, batch);
-    gram_coefficients(panel, ws, /*negate=*/false);
+    solve_coefficients(cw, /*negate=*/false);
     be.run([panel, q, c, n, width, cw, lams, rs] {
       const la::ConstDenseView pv(panel, n, width, n, la::Layout::ColMajor);
       const la::ConstDenseView qv(q, n, width, n, la::Layout::ColMajor);
@@ -498,7 +525,10 @@ class Engine {
     // Next panel: Y = deflated-preconditioned residuals, conjugated
     // against the current panel via β = −Gram⁻¹ QᵀY.
     precondition(batch);
-    gram_coefficients(q, pick(be.y, batch), /*negate=*/true);
+    fetch_coefficients(q, pick(be.y, batch));
+    fetch_norms(batch, be.out);
+    be.synchronize();
+    solve_coefficients(cw, /*negate=*/true);
     if (width == 1) {
       // The panel aliases p here: conjugate in place on y, then swap the
       // buffers so p becomes the new direction without ever overwriting
@@ -521,11 +551,10 @@ class Engine {
     }
   }
 
-  /// coeff(:,b) = ±Gram⁻¹ Vᵀ xs[b] for the width-column panel V: one fused
-  /// gemv sweep, one coefficient-block round trip for the host-side Gram
-  /// solves.
-  void gram_coefficients(const double* v, std::vector<const double*> xs,
-                         bool negate) {
+  /// coeff(:,b) = Vᵀ xs[b] for the width-column panel V in one fused gemv
+  /// sweep, fetched for solve_coefficients() after the caller's
+  /// synchronize().
+  void fetch_coefficients(const double* v, std::vector<const double*> xs) {
     Backend& be = *loop_;
     const idx width = static_cast<idx>(xs.size());
     const std::size_t cw = xs.size();
@@ -535,12 +564,29 @@ class Engine {
         la::gemv(1.0, vv, la::Trans::Yes, xs[b], 0.0, c + b * cw);
     });
     coeff_host_.resize(cw * cw);
-    be.read(coeff_host_.data(), be.coeff, coeff_host_.size());
+    be.fetch(coeff_host_.data(), be.coeff, coeff_host_.size());
+  }
+  /// coeff(:,b) = ±Gram⁻¹ coeff(:,b): the host-side Gram solves on the
+  /// fetched block, uploaded back.
+  void solve_coefficients(std::size_t cw, bool negate) {
+    Backend& be = *loop_;
     for (std::size_t b = 0; b < cw; ++b) {
       gram_.solve(coeff_host_.data() + b * cw);
-      if (negate) la::scal(width, -1.0, coeff_host_.data() + b * cw);
+      if (negate)
+        la::scal(static_cast<idx>(cw), -1.0, coeff_host_.data() + b * cw);
     }
     be.write(be.coeff, coeff_host_.data(), coeff_host_.size());
+  }
+
+  /// ‖w‖ of the systems `js` into backend memory `at`, fetched with the
+  /// step's last scalar read: the next scan() takes them from there instead
+  /// of a round trip of its own (the same nrm2 body on the same w).
+  void fetch_norms(const std::vector<std::size_t>& js, double* at) {
+    Backend& be = *loop_;
+    be.nrm2_into(pick(be.w, js), at);
+    next_norms_.resize(js.size());
+    be.fetch(next_norms_.data(), at, js.size());
+    norm_systems_ = js;
   }
 
   /// Line 12 for a set of systems at once: y = P M⁻¹ w through one batched
@@ -625,8 +671,12 @@ class Engine {
   std::vector<double> lambda0_, q0_;  ///< λ₀ and F λ₀, shared
   GramSolver gram_;
   /// Host side of the coefficient round trip; outlives the (stream-ordered)
-  /// upload, and is rewritten only after the next read drains the stream.
+  /// upload. The next fetch into it is ordered after that upload on the
+  /// stream, and the host rewrites it only after a synchronize().
   std::vector<double> coeff_host_;
+  /// ‖w‖ of `norm_systems_`, fetched by the last step for the next scan.
+  std::vector<double> next_norms_;
+  std::vector<std::size_t> norm_systems_;
   Backend* host_ = nullptr;  ///< setup and finalization state
   Backend* loop_ = nullptr;  ///< iteration state (host_ or a device copy)
 };

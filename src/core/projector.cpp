@@ -44,13 +44,9 @@ Projector::~Projector() {
   if (s_dev_ != nullptr) dev_->free(s_dev_);
 }
 
-void Projector::coarse_solve(std::vector<double>& s) const {
-  coarse_solve(s.data());
-}
-
-void Projector::coarse_solve(double* s) const {
-  la::trsv(la::Uplo::Lower, la::Trans::No, gtg_.cview(), s);
-  la::trsv(la::Uplo::Lower, la::Trans::Yes, gtg_.cview(), s);
+void Projector::coarse_solve(la::ConstDenseView l, double* s) {
+  la::trsv(la::Uplo::Lower, la::Trans::No, l, s);
+  la::trsv(la::Uplo::Lower, la::Trans::Yes, l, s);
 }
 
 void Projector::ensure_device(gpu::Device& dev, gpu::Stream& s,
@@ -59,9 +55,12 @@ void Projector::ensure_device(gpu::Device& dev, gpu::Stream& s,
         "Projector: device mirror already bound to another device");
   const std::size_t rt = static_cast<std::size_t>(g_.cols());
   if (dev_ == nullptr) {
+    // G and the factor share one allocation: l_dev_ = g_dev_ + |G|.
+    g_dev_ = dev.alloc_n<double>(g_.size() + gtg_.size());
+    l_dev_ = g_dev_ + g_.size();
     dev_ = &dev;
-    g_dev_ = dev.alloc_n<double>(g_.size());
     s.memcpy_h2d(g_dev_, g_.data(), g_.size() * sizeof(double));
+    s.memcpy_h2d(l_dev_, gtg_.data(), gtg_.size() * sizeof(double));
   }
   if (s_cap_ < cols) {
     if (s_dev_ != nullptr) {
@@ -73,7 +72,6 @@ void Projector::ensure_device(gpu::Device& dev, gpu::Stream& s,
     s_dev_ = dev.alloc_n<double>(rt * cols);
     s_cap_ = cols;
   }
-  if (s_host_.size() < rt * cols) s_host_.resize(rt * cols);
 }
 
 void Projector::apply_device(gpu::Device& dev, gpu::Stream& s,
@@ -85,27 +83,18 @@ void Projector::apply_device(gpu::Device& dev, gpu::Stream& s,
   const idx rt = g_.cols();
   ensure_device(dev, s, xs.size());
   const gpu::DeviceDense g{g_dev_, nl, rt, nl, la::Layout::ColMajor};
+  const gpu::DeviceDense l{l_dev_, rt, rt, rt, la::Layout::ColMajor};
 
-  // One fused submission: sᵦ = Gᵀ xᵦ for every column of the call (the
-  // same la::gemv per column as the host apply, batched to amortize the
-  // kernel launch latency).
+  // One fused submission per call: the coarse blocks sᵦ = (GᵀG)⁻¹ Gᵀ xᵦ of
+  // every column first, then the rank-rt updates yᵦ = xᵦ − G sᵦ — the same
+  // la:: calls per column as the host apply.
   double* s_dev = s_dev_;
-  s.submit([g, s_dev, rt, xs] {
-    for (std::size_t b = 0; b < xs.size(); ++b)
-      la::gemv(1.0, g.cview(), la::Trans::Yes, xs[b], 0.0,
-               s_dev + b * static_cast<std::size_t>(rt));
-  });
-  const std::size_t bytes =
-      static_cast<std::size_t>(rt) * xs.size() * sizeof(double);
-  s.memcpy_d2h(s_host_.data(), s_dev, bytes);
-  s.synchronize();
-  // Host-side coarse solves on the small packed block (the only data of
-  // this apply that crosses PCIe), then back to the device.
-  for (std::size_t b = 0; b < xs.size(); ++b)
-    coarse_solve(s_host_.data() + b * static_cast<std::size_t>(rt));
-  s.memcpy_h2d(s_dev, s_host_.data(), bytes);
-  // One fused submission for the rank-rt update yᵦ = xᵦ − G sᵦ.
-  s.submit([g, s_dev, nl, rt, xs, ys] {
+  s.submit([g, l, s_dev, nl, rt, xs, ys] {
+    for (std::size_t b = 0; b < xs.size(); ++b) {
+      double* sb = s_dev + b * static_cast<std::size_t>(rt);
+      la::gemv(1.0, g.cview(), la::Trans::Yes, xs[b], 0.0, sb);
+      coarse_solve(l.cview(), sb);
+    }
     for (std::size_t b = 0; b < ys.size(); ++b) {
       std::copy_n(xs[b], nl, ys[b]);
       la::gemv(-1.0, g.cview(), la::Trans::No,
@@ -118,7 +107,7 @@ void Projector::apply(const double* x, double* y) const {
   const idx nl = p_.num_lambdas;
   std::vector<double> s(static_cast<std::size_t>(g_.cols()));
   la::gemv(1.0, g_.cview(), la::Trans::Yes, x, 0.0, s.data());
-  coarse_solve(s);
+  coarse_solve(gtg_.cview(), s.data());
   std::copy_n(x, nl, y);
   la::gemv(-1.0, g_.cview(), la::Trans::No, s.data(), 1.0, y);
 }
@@ -147,7 +136,7 @@ std::vector<double> Projector::compute_e() const {
 
 void Projector::initial_lambda(double* lambda0) const {
   std::vector<double> s = compute_e();
-  coarse_solve(s);
+  coarse_solve(gtg_.cview(), s.data());
   std::fill_n(lambda0, p_.num_lambdas, 0.0);
   la::gemv(1.0, g_.cview(), la::Trans::No, s.data(), 1.0, lambda0);
 }
@@ -155,7 +144,7 @@ void Projector::initial_lambda(double* lambda0) const {
 std::vector<double> Projector::alpha(const double* r) const {
   std::vector<double> s(static_cast<std::size_t>(g_.cols()));
   la::gemv(-1.0, g_.cview(), la::Trans::Yes, r, 0.0, s.data());
-  coarse_solve(s);
+  coarse_solve(gtg_.cview(), s.data());
   return s;
 }
 

@@ -30,14 +30,13 @@ class Projector {
   void apply(const double* x, double* y) const;
 
   /// Device-resident apply for the device-state PCPG mode: xs[b] and ys[b]
-  /// are device column pointers on `dev`. The G-panel products run as
-  /// gpu::blas submissions against a lazily uploaded device copy of G (G is
-  /// immutable after construction); only the kernel_total()-length coarse
-  /// right-hand sides cross PCIe — the (GᵀG)⁻¹ coarse solve itself stays
-  /// host-side, exactly like the host apply. All columns of one call cost
-  /// two fused kernel submissions + one D2H/H2D scalar-block pair. Bit-identical
-  /// to per-column apply() (same la:: calls on the same operands in the
-  /// same per-column order).
+  /// are device column pointers on `dev`. G and the Cholesky factor of GᵀG
+  /// are uploaded once on first use (both are immutable after
+  /// construction); after that a call moves no data across PCIe. All
+  /// columns of one call cost one fused kernel submission — the Gᵀ products,
+  /// the (GᵀG)⁻¹ coarse solves and the rank-rt updates — and no host
+  /// synchronization. Bit-identical to per-column apply() (same la:: calls
+  /// on the same operands in the same per-column order).
   void apply_device(gpu::Device& dev, gpu::Stream& s,
                     const std::vector<const double*>& xs,
                     const std::vector<double*>& ys) const;
@@ -68,12 +67,10 @@ class Projector {
   [[nodiscard]] double gt_norm(const double* x) const;
 
  private:
-  /// t = (GᵀG)⁻¹ s via the Cholesky factor.
-  void coarse_solve(std::vector<double>& s) const;
-  /// Raw-pointer variant for the packed coarse blocks of apply_device.
-  void coarse_solve(double* s) const;
-  /// Uploads G (once) and sizes the coarse staging block for `cols`
-  /// columns on `dev`. One device per projector instance.
+  /// s ← (GᵀG)⁻¹ s via the Cholesky factor `l` (host or device copy).
+  static void coarse_solve(la::ConstDenseView l, double* s);
+  /// Uploads G and the GᵀG factor (once) and sizes the coarse block for
+  /// `cols` columns on `dev`. One device per projector instance.
   void ensure_device(gpu::Device& dev, gpu::Stream& s,
                      std::size_t cols) const;
 
@@ -81,13 +78,14 @@ class Projector {
   la::DenseMatrix g_;        ///< num_lambdas x total_kernel, col-major
   la::DenseMatrix gtg_;      ///< Cholesky factor (lower) of GᵀG
 
-  // Lazily created device mirror for apply_device (logically const: G never
-  // changes after construction, so the mirror is a cache).
+  // Lazily created device mirror for apply_device (logically const: G and
+  // its Gram factor never change after construction, so the mirror is a
+  // cache).
   mutable gpu::Device* dev_ = nullptr;
   mutable double* g_dev_ = nullptr;       ///< device copy of g_
+  mutable double* l_dev_ = nullptr;       ///< gtg_ copy, in g_dev_'s block
   mutable double* s_dev_ = nullptr;       ///< coarse RHS block, rt × cols
   mutable std::size_t s_cap_ = 0;         ///< columns s_dev_ can hold
-  mutable std::vector<double> s_host_;    ///< host staging for coarse solves
 };
 
 /// The lumped preconditioner M = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ (applied with the original,

@@ -186,7 +186,8 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
     std::shared_ptr<Event::Impl> gate;
   };
   std::deque<Entry> queue;
-  bool running = false;
+  bool running = false;  ///< a pump is scheduled or in progress
+  bool active = false;   ///< a thread is inside pump()
   std::condition_variable idle_cv;
 
   void pump() {
@@ -197,6 +198,7 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
         std::lock_guard<std::mutex> lock(mutex);
         if (queue.empty()) {
           running = false;
+          active = false;
           idle_cv.notify_all();
           return;
         }
@@ -209,6 +211,7 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
           // Park: release the worker; the event callback re-arms us.
           park_on = front.gate;
           running = false;
+          active = false;
         } else {
           op = std::move(front.op);
           queue.pop_front();
@@ -233,8 +236,19 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
       }
     }
     if (start) {
-      device->pool_submit([self = shared_from_this()] { self->pump(); });
+      idle_cv.notify_all();  // a synchronizing thread may take the pump
+      device->pool_submit([self = shared_from_this()] { self->claim(); });
     }
+  }
+
+  /// Runs a scheduled pump unless another thread already took it.
+  void claim() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!running || active) return;
+      active = true;
+    }
+    pump();
   }
 
   void submit(std::function<void()> op) {
@@ -253,9 +267,22 @@ struct Stream::Impl : std::enable_shared_from_this<Stream::Impl> {
     kick();
   }
 
+  /// Work not yet picked up by a worker runs on the calling thread, so a
+  /// host thread that would block anyway does not also wait for a worker
+  /// to wake up. Exactly one thread pumps at a time, in stream order.
   void synchronize() {
     std::unique_lock<std::mutex> lock(mutex);
-    idle_cv.wait(lock, [&] { return !running && queue.empty(); });
+    for (;;) {
+      if (!running && queue.empty()) return;
+      if (running && !active) {
+        active = true;
+        lock.unlock();
+        pump();
+        lock.lock();
+        continue;
+      }
+      idle_cv.wait(lock);
+    }
   }
 };
 

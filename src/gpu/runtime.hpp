@@ -149,7 +149,8 @@ class Stream {
   void memcpy_h2d(void* dst, const void* src, std::size_t bytes);
   void memcpy_d2h(void* dst, const void* src, std::size_t bytes);
 
-  /// Blocks the calling (host) thread until the stream drains.
+  /// Blocks the calling (host) thread until the stream drains. Queued work
+  /// no worker has started yet runs on the calling thread meanwhile.
   void synchronize();
 
   /// Records an event after all currently submitted work.

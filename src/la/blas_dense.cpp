@@ -1,6 +1,7 @@
 #include "la/blas_dense.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "la/scale.hpp"
 
@@ -48,9 +49,8 @@ void axpy_t(idx n, T alpha, const T* x, T* y) {
 
 // The level-2/3 kernel bodies are scalar-templated: the public fp64 API
 // instantiates T = double, and the mixed-precision fp32 entry points at the
-// bottom instantiate T = float — identical traversals (and therefore
-// identical rounding order between the single- and multi-RHS variants of a
-// precision), half the bytes streamed.
+// bottom instantiate T = float — the same bodies in both precisions, half
+// the bytes streamed in fp32.
 
 template <typename T>
 void gemv_impl(T alpha, ConstDenseViewT<T> a, Trans trans, const T* x,
@@ -65,43 +65,125 @@ void gemv_impl(T alpha, ConstDenseViewT<T> a, Trans trans, const T* x,
       store_scaled(beta, y[i]);
       y[i] += alpha * dot_t(n, row, x);
     }
-  } else {
-    // op(A) columns are contiguous: axpy form.
-    scale_vec(m, beta, y);
-    for (idx j = 0; j < n; ++j) {
-      const T* col = op.data + static_cast<widx>(j) * op.sj;
-      axpy_t(m, alpha * x[j], col, y);
+    return;
+  }
+  // op(A) columns are contiguous: axpy form, four columns per sweep so y
+  // is streamed once per four columns. Each y[i] still receives its column
+  // terms one by one in column order, exactly as single-column axpys would
+  // add them.
+  scale_vec(m, beta, y);
+  auto col = [&](idx j) { return op.data + static_cast<widx>(j) * op.sj; };
+  idx j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const T* c0 = col(j);
+    const T* c1 = col(j + 1);
+    const T* c2 = col(j + 2);
+    const T* c3 = col(j + 3);
+    const T a0 = alpha * x[j], a1 = alpha * x[j + 1];
+    const T a2 = alpha * x[j + 2], a3 = alpha * x[j + 3];
+    for (idx i = 0; i < m; ++i) {
+      T yi = y[i];
+      yi += a0 * c0[i];
+      yi += a1 * c1[i];
+      yi += a2 * c2[i];
+      yi += a3 * c3[i];
+      y[i] = yi;
     }
   }
+  for (; j < n; ++j) axpy_t(m, alpha * x[j], col(j), y);
+}
+
+// ---- symmetric kernels ----
+//
+// A column-major Upper triangle is the same memory as a row-major Lower one
+// (and column-major Lower the same as row-major Upper), so SYMV and SYMM
+// read every stored triangle as contiguous columns of a column-major
+// matrix. Column j holds rows 0..j when `upper`, rows j..n-1 otherwise.
+// Columns are swept four at a time: the rows the four columns share (all
+// rows above the 4x4 diagonal block, or all below it) stream x and y once
+// for the four columns, then the diagonal block and any remainder columns
+// run one column at a time. Per stored entry a(i, j), i != j, a column
+// contributes a(i, j)·(alpha x_j) to y_i and accumulates a(i, j)·x_i into
+// its own dot, which lands as y_j += alpha·dot after the column. SYMM runs
+// this SYMV once per right-hand side.
+
+constexpr int kSweep = 4;  ///< stored columns per sweep
+
+template <typename T>
+struct SymColsT {
+  const T* data;
+  widx ld;
+  idx n;
+  bool upper;
+  [[nodiscard]] const T* col(idx j) const {
+    return data + static_cast<widx>(j) * ld;
+  }
+  /// Rows [shared_begin, shared_end) of the `width` columns starting at
+  /// j0 that lie outside their diagonal block.
+  [[nodiscard]] idx shared_begin(idx j0, idx width) const {
+    return upper ? 0 : j0 + width;
+  }
+  [[nodiscard]] idx shared_end(idx j0) const { return upper ? j0 : n; }
+  /// Off-diagonal rows [block_begin, block_end) of column j inside the
+  /// diagonal block of the `width` columns starting at j0.
+  [[nodiscard]] idx block_begin(idx j0, idx j) const {
+    return upper ? j0 : j + 1;
+  }
+  [[nodiscard]] idx block_end(idx j0, idx j, idx width) const {
+    return upper ? j : j0 + width;
+  }
+};
+
+template <typename T>
+SymColsT<T> sym_cols(Uplo uplo, ConstDenseViewT<T> a) {
+  check(a.rows == a.cols, "symmetric kernel: matrix must be square");
+  return {a.data, static_cast<widx>(a.ld), a.rows,
+          (a.layout == Layout::ColMajor) == (uplo == Uplo::Upper)};
+}
+
+/// y += alpha·A(:, j0:j0+K)·x(j0:j0+K) plus the mirrored terms of those K
+/// stored columns.
+template <int K, typename T>
+void symv_cols(const SymColsT<T>& a, idx j0, T alpha, const T* x, T* y) {
+  const T* c[K];
+  T ax[K];
+  T acc[K];
+  for (int k = 0; k < K; ++k) {
+    c[k] = a.col(j0 + k);
+    ax[k] = alpha * x[j0 + k];
+    acc[k] = T(0);
+  }
+  const idx hi = a.shared_end(j0);
+  for (idx i = a.shared_begin(j0, K); i < hi; ++i) {
+    const T xi = x[i];
+    T yi = y[i];
+    for (int k = 0; k < K; ++k) {
+      yi += c[k][i] * ax[k];
+      acc[k] += c[k][i] * xi;
+    }
+    y[i] = yi;
+  }
+  for (int k = 0; k < K; ++k) {
+    const idx j = j0 + k;
+    const idx e = a.block_end(j0, j, K);
+    for (idx i = a.block_begin(j0, j); i < e; ++i) {
+      y[i] += c[k][i] * ax[k];
+      acc[k] += c[k][i] * x[i];
+    }
+    acc[k] += c[k][j] * x[j];
+  }
+  for (int k = 0; k < K; ++k) y[j0 + k] += alpha * acc[k];
 }
 
 template <typename T>
 void symv_impl(Uplo uplo, T alpha, ConstDenseViewT<T> a, const T* x, T beta,
                T* y) {
-  check(a.rows == a.cols, "symv: matrix must be square");
-  const idx n = a.rows;
-  scale_vec(n, beta, y);
-  if (uplo == Uplo::Upper) {
-    for (idx r = 0; r < n; ++r) {
-      T acc = a.at(r, r) * x[r];
-      for (idx c = r + 1; c < n; ++c) {
-        const T v = a.at(r, c);
-        acc += v * x[c];
-        y[c] += alpha * v * x[r];
-      }
-      y[r] += alpha * acc;
-    }
-  } else {
-    for (idx r = 0; r < n; ++r) {
-      T acc = a.at(r, r) * x[r];
-      for (idx c = 0; c < r; ++c) {
-        const T v = a.at(r, c);
-        acc += v * x[c];
-        y[c] += alpha * v * x[r];
-      }
-      y[r] += alpha * acc;
-    }
-  }
+  const SymColsT<T> s = sym_cols(uplo, a);
+  scale_vec(s.n, beta, y);
+  idx j = 0;
+  for (; j + kSweep <= s.n; j += kSweep)
+    symv_cols<kSweep>(s, j, alpha, x, y);
+  for (; j < s.n; ++j) symv_cols<1>(s, j, alpha, x, y);
 }
 
 template <typename T>
@@ -111,47 +193,28 @@ void symm_impl(Uplo uplo, T alpha, ConstDenseViewT<T> a, ConstDenseViewT<T> b,
   check(b.rows == a.cols && c.rows == a.rows && c.cols == b.cols,
         "symm: dimension mismatch");
   const idx n = a.rows, w = b.cols;
-  // Fast path: row-major B and C give contiguous per-row RHS panels, so the
-  // inner loops over the w right-hand sides vectorize.
-  if (b.layout == Layout::RowMajor && c.layout == Layout::RowMajor) {
-    for (idx i = 0; i < n; ++i)
-      scale_vec(w, beta, c.data + static_cast<widx>(i) * c.ld);
-    for (idx r = 0; r < n; ++r) {
-      const idx c_begin = uplo == Uplo::Upper ? r + 1 : 0;
-      const idx c_end = uplo == Uplo::Upper ? n : r;
-      T* cr = c.data + static_cast<widx>(r) * c.ld;
-      const T* br = b.data + static_cast<widx>(r) * b.ld;
-      const T d = alpha * a.at(r, r);
-      for (idx j = 0; j < w; ++j) cr[j] += d * br[j];
-      for (idx col = c_begin; col < c_end; ++col) {
-        const T v = alpha * a.at(r, col);
-        if (v == T(0)) continue;
-        T* cc = c.data + static_cast<widx>(col) * c.ld;
-        const T* bc = b.data + static_cast<widx>(col) * b.ld;
-        for (idx j = 0; j < w; ++j) {
-          cr[j] += v * bc[j];
-          cc[j] += v * br[j];
-        }
-      }
+  // One SYMV per right-hand side, through contiguous copies of row-major
+  // panel columns: every panel layout streams the stored triangle as
+  // columns, and every column of C rounds exactly like a SYMV.
+  const bool gather_b = b.layout == Layout::RowMajor;
+  const bool gather_c = c.layout == Layout::RowMajor;
+  std::vector<T> xbuf(gather_b ? n : 0), ybuf(gather_c ? n : 0);
+  for (idx j = 0; j < w; ++j) {
+    const T* x = b.data + static_cast<widx>(j) * b.ld;
+    if (gather_b) {
+      for (idx i = 0; i < n; ++i) xbuf[i] = b.at(i, j);
+      x = xbuf.data();
     }
-    return;
-  }
-  for (idx i = 0; i < n; ++i)
-    for (idx j = 0; j < w; ++j) store_scaled(beta, c.at(i, j));
-  // Mirror the stored triangle on the fly (same traversal as symv, with a
-  // row of right-hand sides in the inner dimension).
-  for (idx r = 0; r < n; ++r) {
-    const idx c_begin = uplo == Uplo::Upper ? r + 1 : 0;
-    const idx c_end = uplo == Uplo::Upper ? n : r;
-    for (idx j = 0; j < w; ++j) c.at(r, j) += alpha * a.at(r, r) * b.at(r, j);
-    for (idx col = c_begin; col < c_end; ++col) {
-      const T v = alpha * a.at(r, col);
-      if (v == T(0)) continue;
-      for (idx j = 0; j < w; ++j) {
-        c.at(r, j) += v * b.at(col, j);
-        c.at(col, j) += v * b.at(r, j);
-      }
+    T* y = c.data + static_cast<widx>(j) * c.ld;
+    if (gather_c) {
+      // beta == 0 overwrites, so the old column is read only when it counts.
+      if (beta != T(0))
+        for (idx i = 0; i < n; ++i) ybuf[i] = c.at(i, j);
+      y = ybuf.data();
     }
+    symv_impl(uplo, alpha, a, x, beta, y);
+    if (gather_c)
+      for (idx i = 0; i < n; ++i) c.at(i, j) = ybuf[i];
   }
 }
 
@@ -428,8 +491,9 @@ idx potrf_pivoted_lower(DenseView a, idx* perm, double rel_tolerance) {
 //
 // The fp32 instantiations of the templated kernel bodies above — the
 // cublasS* analogues behind the mixed-precision explicit dual operators.
-// Arithmetic runs in fp32 (half the bytes streamed, twice the SIMD width);
-// the fp64 accumulation the mixed-precision design relies on happens at
+// Arithmetic runs in fp32: half the bytes streamed. SYMV's per-column dots
+// are in-order reductions, so it does not gain SIMD width over fp64. The
+// fp64 accumulation the mixed-precision design relies on happens at
 // the dual-vector reduction (the gather back into the fp64 cluster
 // vector), not inside these kernels. alpha/beta stay fp64 in the signature
 // for API symmetry and are demoted on entry.

@@ -25,7 +25,8 @@ void gemv(double alpha, ConstDenseView a, Trans trans, const double* x,
           double beta, double* y);
 
 /// y = alpha * A * x + beta * y for symmetric A with only the `uplo`
-/// triangle stored/referenced.
+/// triangle stored/referenced. The stored triangle is read as contiguous
+/// columns in either layout, so both layouts stream at the same speed.
 void symv(Uplo uplo, double alpha, ConstDenseView a, const double* x,
           double beta, double* y);
 
@@ -40,7 +41,8 @@ void gemm(double alpha, ConstDenseView a, Trans ta, ConstDenseView b,
           Trans tb, double beta, DenseView c);
 
 /// C = alpha * A * B + beta * C for symmetric A (left side) with only the
-/// `uplo` triangle stored/referenced — the multi-column companion of symv.
+/// `uplo` triangle stored/referenced — the multi-column companion of symv:
+/// every column of C rounds exactly like a symv of that column of B.
 void symm(Uplo uplo, double alpha, ConstDenseView a, ConstDenseView b,
           double beta, DenseView c);
 
@@ -74,10 +76,9 @@ idx potrf_pivoted_lower(DenseView a, idx* perm, double rel_tolerance);
 //
 // The apply-phase kernels of the mixed-precision explicit dual operators:
 // fp32 instantiations of the same kernel bodies as the fp64 API above —
-// identical traversals (so the single- and multi-RHS variants round
-// identically), half the bytes streamed, twice the SIMD width. The fp64
-// accumulation of the mixed-precision design happens at the dual-vector
-// reduction (the gather into the fp64 cluster vector), not here.
+// half the bytes streamed. The fp64 accumulation of the mixed-precision
+// design happens at the dual-vector reduction (the gather into the fp64
+// cluster vector), not here.
 // alpha/beta stay fp64 in the signature and are demoted on entry.
 
 /// y = alpha * A * x + beta * y for symmetric fp32 A, one stored triangle.

@@ -257,6 +257,70 @@ TEST(Stream, EventWaitAfterCompletionDoesNotBlock) {
   EXPECT_TRUE(ran.load());
 }
 
+TEST(Stream, SynchronizeRunsWorkNoWorkerStartedOnTheCallingThread) {
+  // One worker, held by stream a: b's work can only run if b.synchronize()
+  // runs it itself.
+  DeviceConfig cfg = test_config();
+  cfg.worker_threads = 1;
+  Device dev(cfg);
+  Stream a = dev.create_stream(), b = dev.create_stream();
+  std::atomic<bool> a_started{false}, release_a{false};
+  a.submit([&] {
+    a_started = true;
+    while (!release_a) std::this_thread::yield();
+  });
+  while (!a_started) std::this_thread::yield();
+  // Without that, b would wait for the worker forever: a watchdog frees
+  // the worker after 5 s so the failure is reported instead of hanging.
+  std::atomic<bool> b_synced{false}, watchdog_fired{false};
+  std::thread watchdog([&] {
+    for (int ms = 0; ms < 5000 && !b_synced; ++ms)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!b_synced) {
+      watchdog_fired = true;
+      release_a = true;
+    }
+  });
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 3; ++i)
+    b.submit([&] { ran_on.push_back(std::this_thread::get_id()); });
+  b.synchronize();
+  b_synced = true;
+  release_a = true;
+  watchdog.join();
+  a.synchronize();
+  EXPECT_FALSE(watchdog_fired.load());
+  ASSERT_EQ(ran_on.size(), 3u);
+  for (const std::thread::id id : ran_on)
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(Stream, ConcurrentSynchronizersRunEveryOperationOnceInOrder) {
+  // Host threads that synchronize while another submits share the pump
+  // with the workers: each operation still runs once, in stream order, and
+  // never alongside another of the same stream (the unguarded log is what
+  // a thread sanitizer would flag otherwise).
+  Device dev(test_config());
+  Stream s = dev.create_stream();
+  constexpr int kOps = 2000;
+  std::vector<int> log;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> syncers;
+  for (int t = 0; t < 3; ++t)
+    syncers.emplace_back([&] {
+      while (!done) {
+        s.synchronize();
+        std::this_thread::yield();
+      }
+    });
+  for (int i = 0; i < kOps; ++i) s.submit([&log, i] { log.push_back(i); });
+  s.synchronize();
+  done = true;
+  for (std::thread& t : syncers) t.join();
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kOps));
+  for (int i = 0; i < kOps; ++i) ASSERT_EQ(log[i], i);
+}
+
 // ---------------------------------------------------------------------------
 // Kernels against CPU references.
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "la/blas_dense.hpp"
 #include "la/dense.hpp"
@@ -129,33 +131,180 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Layout::RowMajor, Layout::ColMajor),
                        ::testing::Values(Trans::No, Trans::Yes)));
 
+TEST(Gemv, ColumnSweepRoundsLikeSingleColumnAxpys) {
+  // The axpy form adds four columns per sweep, but each y entry still
+  // receives its column terms one at a time in column order.
+  for (const idx n : {1, 3, 4, 5, 8, 9, 31}) {
+    const idx m = 37;
+    DenseMatrix a = random_matrix(m, n, Layout::ColMajor, 700 + n);
+    const std::vector<double> x = random_vector(n, 800 + n);
+    std::vector<double> y = random_vector(m, 900 + n);
+    std::vector<double> ref = y;
+    scal(m, 0.25, ref.data());
+    for (idx j = 0; j < n; ++j)
+      axpy(m, 1.5 * x[j], a.data() + static_cast<widx>(j) * m, ref.data());
+    gemv(1.5, a.cview(), Trans::No, x.data(), 0.25, y.data());
+    EXPECT_TRUE(y == ref) << "n " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Symmetric kernels
+// ---------------------------------------------------------------------------
+//
+// SYMV/SYMM sweep the stored triangle four columns at a time, so the sizes
+// cover n < 4 (remainder only), n = 4..9 (one or two four-column sweeps
+// plus remainders and their diagonal blocks) and larger n with every
+// remainder 0..3 (31, 64, 283). Everything outside the stored triangle is
+// NaN, so any read of it poisons the result; the packed variant uses the
+// (m+1)-leading-dimension triangle packing of the explicit operators.
+
+constexpr idx kSymSizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 283};
+
+template <typename T>
+constexpr T kNaN = std::numeric_limits<T>::quiet_NaN();
+
+/// One stored triangle of a symmetric matrix in NaN-filled storage.
+template <typename T>
+struct StoredTriangle {
+  std::vector<T> buf;
+  ConstDenseViewT<T> view;
+};
+
+/// Stores the `uplo` triangle of `full` as `layout`. Packed storage uses
+/// ld = n + 1 and the offset the packing gives this triangle: the one that
+/// reads as column-major Upper sits at offset 0, the other at offset 1.
+template <typename T>
+StoredTriangle<T> store_triangle(const DenseMatrix& full, Layout layout,
+                                 Uplo uplo, bool packed) {
+  const idx n = full.rows();
+  const idx ld = packed ? n + 1 : n;
+  const bool col_upper = (layout == Layout::ColMajor) == (uplo == Uplo::Upper);
+  StoredTriangle<T> st;
+  st.buf.assign(static_cast<std::size_t>(ld) * n + 1, kNaN<T>);
+  DenseViewT<T> v{st.buf.data() + (packed && !col_upper ? 1 : 0), n, n, ld,
+                  layout};
+  for (idx r = 0; r < n; ++r)
+    for (idx c = 0; c < n; ++c)
+      if (uplo == Uplo::Upper ? c >= r : c <= r)
+        v.at(r, c) = static_cast<T>(full.at(r, c));
+  st.view = v;
+  return st;
+}
+
+DenseMatrix random_symmetric(idx n, std::uint64_t seed) {
+  DenseMatrix full = random_matrix(n, n, Layout::ColMajor, seed);
+  symmetrize_from(full.view(), Uplo::Upper);
+  return full;
+}
+
+/// Checks entry i of alpha·A·x + beta·y0 computed in T against an fp64
+/// reference from the same T-rounded operands, within the
+/// recursive-summation bound (n + 4)·eps_T·Σ|terms|.
+template <typename T>
+void expect_sym_entry(const DenseMatrix& full, idx i, double alpha,
+                      const std::vector<T>& x, double beta, T y0, T got) {
+  const idx n = full.rows();
+  double ref = beta != 0.0 ? beta * static_cast<double>(y0) : 0.0;
+  double abs_sum = std::fabs(ref);
+  for (idx k = 0; k < n; ++k) {
+    const double t = alpha *
+                     static_cast<double>(static_cast<T>(full.at(i, k))) *
+                     static_cast<double>(x[k]);
+    ref += t;
+    abs_sum += std::fabs(t);
+  }
+  EXPECT_NEAR(static_cast<double>(got), ref,
+              static_cast<double>(n + 4) * std::numeric_limits<T>::epsilon() *
+                  abs_sum)
+      << "n " << n << " row " << i << " beta " << beta;
+}
+
+template <typename T>
+void check_symv(Layout layout, Uplo uplo, bool packed) {
+  const double alpha = 1.3;
+  for (const idx n : kSymSizes) {
+    for (const double beta : {0.0, 0.7}) {
+      const DenseMatrix full = random_symmetric(n, 100 + n);
+      const StoredTriangle<T> a =
+          store_triangle<T>(full, layout, uplo, packed);
+      const std::vector<double> xd = random_vector(n, 200 + n);
+      const std::vector<double> yd = random_vector(n, 300 + n);
+      const std::vector<T> x(xd.begin(), xd.end());
+      // beta == 0 must overwrite: start from NaN so a read shows.
+      std::vector<T> y(static_cast<std::size_t>(n), kNaN<T>);
+      if (beta != 0.0) y.assign(yd.begin(), yd.end());
+      const std::vector<T> y0 = y;
+      symv(uplo, alpha, a.view, x.data(), beta, y.data());
+      for (idx i = 0; i < n; ++i)
+        expect_sym_entry<T>(full, i, alpha, x, beta, y0[i], y[i]);
+    }
+  }
+}
+
 class SymvParam
-    : public ::testing::TestWithParam<std::tuple<Layout, Uplo>> {};
+    : public ::testing::TestWithParam<std::tuple<Layout, Uplo, bool>> {};
 
 TEST_P(SymvParam, MatchesFullProduct) {
-  const auto [layout, uplo] = GetParam();
-  const idx n = 11;
-  DenseMatrix full = random_matrix(n, n, layout, 8);
-  symmetrize_from(full.view(), Uplo::Upper);
-  // Destroy the non-referenced triangle to prove symv ignores it.
-  DenseMatrix tri(n, n, layout);
-  for (idx r = 0; r < n; ++r)
-    for (idx c = 0; c < n; ++c) {
-      const bool stored = uplo == Uplo::Upper ? c >= r : c <= r;
-      tri.at(r, c) = stored ? full.at(r, c) : 999.0;
-    }
-  auto x = random_vector(n, 9);
-  std::vector<double> y(n, 0.0), ref(n, 0.0);
-  for (idx r = 0; r < n; ++r)
-    for (idx c = 0; c < n; ++c) ref[r] += full.at(r, c) * x[c];
-  symv(uplo, 1.0, tri.cview(), x.data(), 0.0, y.data());
-  for (idx i = 0; i < n; ++i) EXPECT_NEAR(y[i], ref[i], 1e-12);
+  const auto [layout, uplo, packed] = GetParam();
+  check_symv<double>(layout, uplo, packed);
+  check_symv<float>(layout, uplo, packed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, SymvParam,
     ::testing::Combine(::testing::Values(Layout::RowMajor, Layout::ColMajor),
-                       ::testing::Values(Uplo::Upper, Uplo::Lower)));
+                       ::testing::Values(Uplo::Upper, Uplo::Lower),
+                       ::testing::Bool()));
+
+/// SYMM against the full product on B/C panels with padded leading
+/// dimensions, and every column of C equal bit for bit to a SYMV of that
+/// column of B.
+template <typename T>
+void check_symm(Layout la_, Layout lb, Layout lc, Uplo uplo, double beta,
+                bool packed) {
+  const double alpha = 1.3;
+  const idx w = 5;
+  auto panel = [&](std::vector<T>& buf, idx n, Layout layout) {
+    const bool rows = layout == Layout::RowMajor;
+    const idx ld = (rows ? w : n) + 2;
+    buf.assign(static_cast<std::size_t>(ld) * (rows ? n : w), kNaN<T>);
+    return DenseViewT<T>{buf.data(), n, w, ld, layout};
+  };
+  for (const idx n : kSymSizes) {
+    const DenseMatrix full = random_symmetric(n, 400 + n);
+    const StoredTriangle<T> a = store_triangle<T>(full, la_, uplo, packed);
+    const DenseMatrix bd = random_matrix(n, w, Layout::ColMajor, 500 + n);
+    const DenseMatrix cd = random_matrix(n, w, Layout::ColMajor, 600 + n);
+    std::vector<T> bbuf, cbuf;
+    const DenseViewT<T> b = panel(bbuf, n, lb);
+    const DenseViewT<T> c = panel(cbuf, n, lc);
+    for (idx i = 0; i < n; ++i)
+      for (idx j = 0; j < w; ++j) {
+        b.at(i, j) = static_cast<T>(bd.at(i, j));
+        // beta == 0 must overwrite: C stays NaN so a read shows.
+        if (beta != 0.0) c.at(i, j) = static_cast<T>(cd.at(i, j));
+      }
+    const std::vector<T> c0buf = cbuf;
+    const ConstDenseViewT<T> c0{c0buf.data(), n, w, c.ld, lc};
+    symm(uplo, alpha, a.view, ConstDenseViewT<T>(b), beta, c);
+    for (idx j = 0; j < w; ++j) {
+      std::vector<T> x(static_cast<std::size_t>(n)), y(x);
+      for (idx i = 0; i < n; ++i) {
+        x[i] = b.at(i, j);
+        y[i] = c0.at(i, j);
+      }
+      symv(uplo, alpha, a.view, x.data(), beta, y.data());
+      bool same = true;
+      for (idx i = 0; i < n; ++i) {
+        same = same && y[i] == c.at(i, j);
+        expect_sym_entry<T>(full, i, alpha, x, beta, c0.at(i, j), c.at(i, j));
+      }
+      EXPECT_TRUE(same) << "n " << n << ": column " << j
+                        << " differs from symv";
+    }
+  }
+}
 
 // symm across A/B/C layouts and both triangles, with beta == 0 (must
 // overwrite, not read) and beta != 0 (must accumulate).
@@ -164,27 +313,10 @@ class SymmParam : public ::testing::TestWithParam<
 
 TEST_P(SymmParam, MatchesFullProduct) {
   const auto [la_, lb, lc, uplo, beta] = GetParam();
-  const idx n = 9, w = 4;
-  DenseMatrix full = random_matrix(n, n, la_, 21);
-  symmetrize_from(full.view(), Uplo::Upper);
-  // Destroy the non-referenced triangle to prove symm ignores it.
-  DenseMatrix tri(n, n, la_);
-  for (idx r = 0; r < n; ++r)
-    for (idx c = 0; c < n; ++c) {
-      const bool stored = uplo == Uplo::Upper ? c >= r : c <= r;
-      tri.at(r, c) = stored ? full.at(r, c) : 999.0;
-    }
-  DenseMatrix b = random_matrix(n, w, lb, 22);
-  DenseMatrix c = random_matrix(n, w, lc, 23);
-  DenseMatrix ref(n, w, lc);
-  for (idx r = 0; r < n; ++r)
-    for (idx j = 0; j < w; ++j) {
-      double acc = beta * c.at(r, j);
-      for (idx k = 0; k < n; ++k) acc += 1.3 * full.at(r, k) * b.at(k, j);
-      ref.at(r, j) = acc;
-    }
-  symm(uplo, 1.3, tri.cview(), b.cview(), beta, c.view());
-  EXPECT_LT(max_abs_diff(c.cview(), ref.cview()), 1e-12);
+  for (const bool packed : {false, true}) {
+    check_symm<double>(la_, lb, lc, uplo, beta, packed);
+    check_symm<float>(la_, lb, lc, uplo, beta, packed);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

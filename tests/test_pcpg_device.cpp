@@ -214,10 +214,11 @@ TEST(PcpgDevice, PerIterationTransfersAreScalarSized) {
 
   // The marginal cost of one extra iteration (identical setup + identical
   // finalization cancel in the difference) must be the scalar blocks only:
-  // convergence norms and step-length dots (O(nsys)), the projector's
-  // coarse right-hand sides (O(rt · nsys)), and in block mode the Gram and
-  // coefficient panels (O(width²), width ≤ nsys). One multiplier vector
-  // (8n bytes) must NOT cross per iteration in either direction.
+  // convergence norms and step-length dots (O(nsys)) and in block mode the
+  // Gram and coefficient panels (O(width²), width ≤ nsys). The budget also
+  // reserves O(rt · nsys) for the projector's coarse right-hand sides,
+  // which the device coarse solve keeps off the link. One multiplier
+  // vector (8n bytes) must NOT cross per iteration in either direction.
   const std::uint64_t scalar_budget =
       8 * (8 * nsys + 4 * rt * nsys + 4 * nsys * nsys);
   ASSERT_GT(n * sizeof(double), scalar_budget)
@@ -238,6 +239,65 @@ TEST(PcpgDevice, PerIterationTransfersAreScalarSized) {
     EXPECT_LE(marginal_h2d, scalar_budget) << "block=" << block;
     EXPECT_LT(marginal_d2h, n * sizeof(double)) << "block=" << block;
     EXPECT_LT(marginal_h2d, n * sizeof(double)) << "block=" << block;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Projector device apply
+// ---------------------------------------------------------------------------
+
+TEST(PcpgDevice, ProjectorApplyDeviceMatchesApplyWithoutTransfers) {
+  // The device apply runs the host apply's la:: calls (Gᵀx, the two
+  // triangular coarse solves, x − G s) per column, so it must agree bit
+  // for bit; and once G and the GᵀG factor are resident, a call moves no
+  // PCIe bytes at all, whatever its column count.
+  decomp::FetiProblem p = heat2d_problem(8, 2);
+  gpu::ExecutionContext ctx(quiet_config());
+  gpu::Device& dev = ctx.device();
+  gpu::Stream st = ctx.main_stream();
+  Projector projector(p);
+  const std::size_t n = static_cast<std::size_t>(p.num_lambdas);
+  const std::size_t rt = static_cast<std::size_t>(projector.kernel_total());
+
+  bool first = true;
+  for (const std::size_t cols : {1, 3, 1}) {
+    Rng rng(90u + static_cast<unsigned>(cols));
+    std::vector<double> x(n * cols);
+    for (double& v : x) v = rng.uniform(-1, 1);
+    double* x_dev = dev.alloc_n<double>(x.size());
+    double* y_dev = dev.alloc_n<double>(x.size());
+    st.memcpy_h2d(x_dev, x.data(), x.size() * sizeof(double));
+    st.synchronize();
+    std::vector<const double*> xs;
+    std::vector<double*> ys;
+    for (std::size_t b = 0; b < cols; ++b) {
+      xs.push_back(x_dev + b * n);
+      ys.push_back(y_dev + b * n);
+    }
+
+    const gpu::TransferCounters::Snapshot before =
+        gpu::TransferCounters::global().snapshot();
+    projector.apply_device(dev, st, xs, ys);
+    st.synchronize();
+    const gpu::TransferCounters::Snapshot moved =
+        gpu::TransferCounters::global().snapshot() - before;
+    if (first) {
+      // The one-time upload: G (n × rt) and the factor (rt × rt).
+      EXPECT_EQ(moved.h2d_bytes, (n * rt + rt * rt) * sizeof(double));
+    } else {
+      EXPECT_EQ(moved.h2d_bytes, 0u) << cols << " columns";
+    }
+    EXPECT_EQ(moved.d2h_bytes, 0u) << cols << " columns";
+    first = false;
+
+    std::vector<double> y(x.size()), ref(x.size());
+    st.memcpy_d2h(y.data(), y_dev, y.size() * sizeof(double));
+    st.synchronize();
+    for (std::size_t b = 0; b < cols; ++b)
+      projector.apply(x.data() + b * n, ref.data() + b * n);
+    EXPECT_TRUE(y == ref) << cols << " columns";
+    dev.free(x_dev);
+    dev.free(y_dev);
   }
 }
 
