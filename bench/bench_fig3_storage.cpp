@@ -14,7 +14,9 @@
 // `--quick` runs only the precision and sparsity comparisons on one
 // problem size (the CI smoke gate): the ~2x footprint reduction and the
 // boundary-restricted solve-panel reduction are hard, deterministic gates
-// (the latter counted via DualOperator::solve_columns(), not timed);
+// (the latter counted via DualOperator::solve_columns(), not timed), and
+// so is the staircase pruning of every TRSM/SYRK explicit key's forward
+// solves (DualOperator::solve_work() against the unpruned count);
 // "fp32 apply measurably faster than fp64" and "sp update faster than
 // dense" are soft gates — warnings, not failures, on noisy runners.
 
@@ -22,6 +24,7 @@
 
 #include "common.hpp"
 #include "decomp/boundary.hpp"
+#include "sparse/simplicial_cholesky.hpp"
 
 using namespace feti;
 using namespace feti::bench;
@@ -135,6 +138,58 @@ bool run_sparsity_comparison(gpu::ExecutionContext& device, idx cells,
   return columns_restricted;
 }
 
+/// Staircase pruning of the TRSM/SYRK explicit keys: the hard gate is
+/// counted, not timed — each key's forward-solve work per assembly
+/// (DualOperator::solve_work(): factor entries × live columns) must be
+/// strictly below the unpruned Σ nnz(L)·cols, where cols is the key's
+/// solve width (m dense, nb sp; so for sp this is tighter than Σ nnz(L)·m).
+/// The update times feed the dense-vs-sp reading, not the gate.
+bool run_pruning_comparison(gpu::ExecutionContext& device, idx cells,
+                            bool quick) {
+  BuiltProblem bp = build_problem(3, fem::Physics::HeatTransfer, cells,
+                                  mesh::ElementOrder::Quadratic);
+  std::printf("\n=== staircase-pruned forward solves (heat 3D, %d "
+              "DOFs/subdomain) ===\n",
+              bp.dofs_per_subdomain);
+  Table table({"key", "solve work", "unpruned", "ratio", "update [ms]"});
+  bool pruned = true;
+  for (const char* family : {"expl legacy", "expl modern", "expl cholmod"})
+    for (const char* axes : {"", " f32", " sp", " sp f32"}) {
+      const std::string key = std::string(family) + axes;
+      const core::DualOpConfig cfg =
+          core::recommend_config(key, 3, bp.dofs_per_subdomain);
+      const bool sp = cfg.axes().sparsity;
+      long unpruned = 0;
+      for (const auto& sub : bp.problem.sub) {
+        sparse::SimplicialCholesky chol;
+        chol.analyze(sub.k_reg, cfg.ordering);
+        const idx cols = sp ? decomp::boundary_dofs(sub).count()
+                            : sub.num_local_lambdas();
+        unpruned +=
+            static_cast<long>(chol.factor_upper_structure().nnz()) * cols;
+      }
+      long work = 0;
+      {
+        auto op = core::make_dual_operator(bp.problem, cfg, &device);
+        op->prepare();
+        op->update_values();
+        work = op->solve_work();
+      }
+      const double update_ms =
+          measure_dualop(bp.problem, cfg, device, quick ? 3 : 5,
+                         quick ? 0.005 : 0.03)
+              .preprocess_ms;
+      table.add_row({key, std::to_string(work), std::to_string(unpruned),
+                     Table::num(static_cast<double>(work) / unpruned, 3),
+                     Table::num(update_ms, 4)});
+      if (work <= 0 || work >= unpruned) pruned = false;
+    }
+  table.print();
+  std::printf("CSV:\n");
+  table.print_csv(std::cout);
+  return pruned;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,6 +257,8 @@ int main(int argc, char** argv) {
   const bool sp_columns_restricted =
       run_sparsity_comparison(device, 3, quick, sp_update_faster);
 
+  const bool solves_pruned = run_pruning_comparison(device, 3, quick);
+
   if (!quick) {
     shape_check("with the modern API, dense storage does not lose to the "
                 "underperforming generic sparse TRSM",
@@ -217,6 +274,10 @@ int main(int argc, char** argv) {
               "columns, strictly fewer than the dense Σm, on every "
               "explicit GPU key",
               sp_columns_restricted);
+  shape_check("staircase pruning counts strictly less forward-solve work "
+              "than the unpruned nnz(L) x solve columns on every TRSM/SYRK "
+              "explicit key",
+              solves_pruned);
   // Soft gates: wall-clock speed depends on the runner's load; warn,
   // don't fail.
   if (f32_faster_somewhere) {
@@ -237,5 +298,5 @@ int main(int argc, char** argv) {
                 "on any explicit GPU key in this run (noisy runner?) — "
                 "soft gate, not failing\n");
   }
-  return footprint_halved && sp_columns_restricted ? 0 : 1;
+  return footprint_halved && sp_columns_restricted && solves_pruned ? 0 : 1;
 }

@@ -4,9 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "gpu/sparse.hpp"
 #include "la/blas_dense.hpp"
 #include "la/blas_sparse.hpp"
+#include "la/csr.hpp"
 #include "sparse/simplicial_cholesky.hpp"
 #include "util/rng.hpp"
 
@@ -161,6 +166,125 @@ void BM_DenseTrsm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * w / 2);
 }
 BENCHMARK(BM_DenseTrsm)->Arg(256)->Arg(512);
+
+// The explicit assembly's forward solve and Gram product at fetibench's
+// subdomain shape: the factor of a 7-point Laplacian on an 8×8×8 grid (n =
+// 512, minimum-degree order, stored dense and column-major as the
+// dense-factor assembly converts it) against an m = 281 column panel with
+// one unit entry per column on boundary DOFs of the cube, its columns in
+// staircase order (arg 0) or shuffled (arg 1). The counters report the work
+// the pruned kernels actually do, not the dense n·n·m/2 or m·m·n/2.
+
+struct StaircaseCase {
+  la::Csr u;                // U = Lᵀ
+  la::DenseMatrix u_dense;  // the same, dense column-major
+  la::Csr panel;            // rows are the panel's columns
+  la::DenseMatrix x;        // the densified panel, n × m row-major
+};
+
+StaircaseCase make_staircase_case(bool shuffled) {
+  StaircaseCase c;
+  const idx g = 8, n = g * g * g, m = 281;
+  auto id = [g](idx i, idx j, idx k) { return (k * g + j) * g + i; };
+  std::vector<la::Triplet> t;
+  std::vector<la::Triplet> b;
+  for (idx k = 0; k < g; ++k)
+    for (idx j = 0; j < g; ++j)
+      for (idx i = 0; i < g; ++i) {
+        const idx d = id(i, j, k);
+        t.push_back({d, d, 6.1});
+        if (i > 0) t.push_back({d, id(i - 1, j, k), -1.0});
+        if (i + 1 < g) t.push_back({d, id(i + 1, j, k), -1.0});
+        if (j > 0) t.push_back({d, id(i, j - 1, k), -1.0});
+        if (j + 1 < g) t.push_back({d, id(i, j + 1, k), -1.0});
+        if (k > 0) t.push_back({d, id(i, j, k - 1), -1.0});
+        if (k + 1 < g) t.push_back({d, id(i, j, k + 1), -1.0});
+        const bool face = i == 0 || j == 0 || k == 0 || i + 1 == g ||
+                          j + 1 == g || k + 1 == g;
+        const idx row = static_cast<idx>(b.size());
+        if (face && row < m) b.push_back({row, d, 1.0});
+      }
+  const la::Csr a = la::Csr::from_triplets(n, n, std::move(t));
+  sparse::SimplicialCholesky chol;
+  chol.analyze(a, sparse::OrderingKind::MinimumDegree);
+  chol.factorize(a);
+  c.u = chol.factor_upper();
+  c.u_dense = c.u.to_dense(la::Layout::ColMajor);
+  const la::Csr bperm = la::permute_columns(
+      la::Csr::from_triplets(m, n, std::move(b)), chol.permutation());
+  std::vector<idx> order = la::staircase_order(bperm);
+  if (shuffled) {
+    Rng rng(11);
+    for (idx j = m - 1; j > 0; --j)
+      std::swap(order[j], order[rng.integer(0, j)]);
+  }
+  c.panel = la::permute_rows(bperm, order);
+  c.x = la::DenseMatrix(n, m, la::Layout::RowMajor);
+  for (idx r = 0; r < m; ++r)
+    for (idx e = c.panel.row_begin(r); e < c.panel.row_end(r); ++e)
+      c.x.at(c.panel.col(e), r) = c.panel.val(e);
+  return c;
+}
+
+const StaircaseCase& staircase_case(bool shuffled) {
+  static const StaircaseCase cases[2] = {make_staircase_case(false),
+                                         make_staircase_case(true)};
+  return cases[shuffled ? 1 : 0];
+}
+
+void BM_TrsmStaircase(benchmark::State& state) {
+  const StaircaseCase& c = staircase_case(state.range(0) != 0);
+  for (auto _ : state) {
+    la::DenseMatrix x = c.x;
+    la::trsm(la::Uplo::Upper, la::Trans::Yes, c.u_dense.cview(), x.view());
+    benchmark::DoNotOptimize(x.data());
+  }
+  // One multiply-add per factor entry and live column, each reading and
+  // writing one panel element.
+  const double work =
+      static_cast<double>(la::staircase_solve_work(c.u, c.panel));
+  state.counters["flops"] = benchmark::Counter(
+      2.0 * work, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["bytes"] = benchmark::Counter(
+      16.0 * work, benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(state.range(0) != 0 ? "shuffled" : "staircase");
+}
+BENCHMARK(BM_TrsmStaircase)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_SyrkStaircase(benchmark::State& state) {
+  const StaircaseCase& c = staircase_case(state.range(0) != 0);
+  la::DenseMatrix x = c.x;
+  la::trsm(la::Uplo::Upper, la::Trans::Yes, c.u_dense.cview(), x.view());
+  const idx n = x.rows(), m = x.cols();
+  la::DenseMatrix f(m, m, la::Layout::ColMajor);
+  for (auto _ : state) {
+    la::syrk(la::Uplo::Upper, la::Trans::Yes, 1.0, x.cview(), 0.0, f.view());
+    benchmark::DoNotOptimize(f.data());
+  }
+  // The rank-update form sweeps four panel rows at a time over the live
+  // leading triangle: live·(live+1)/2 output elements loaded and stored per
+  // sweep, one multiply-add per element and row.
+  double elements = 0.0, bytes = 0.0;
+  idx live = 0;
+  for (idx p = 0; p < n; p += 4) {
+    const idx rows = std::min<idx>(4, n - p);
+    for (idx i = 0; i < rows; ++i)
+      for (idx j = m; j > live; --j)
+        if (x.at(p + i, j - 1) != 0.0) {
+          live = j;
+          break;
+        }
+    const double tri = 0.5 * static_cast<double>(live) * (live + 1);
+    elements += rows * tri;
+    bytes += 16.0 * tri + 8.0 * rows * live;
+  }
+  state.counters["flops"] = benchmark::Counter(
+      2.0 * elements, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["bytes"] = benchmark::Counter(
+      bytes, benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(state.range(0) != 0 ? "shuffled" : "staircase");
+}
+BENCHMARK(BM_SyrkStaircase)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SparseTrsmCpu(benchmark::State& state) {
   const idx grid = static_cast<idx>(state.range(0));

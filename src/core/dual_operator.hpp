@@ -169,6 +169,18 @@ class DualOperator {
     return solve_columns_.load(std::memory_order_relaxed);
   }
 
+  /// Total counted work of those solves' forward halves (the TRSM/SYRK
+  /// explicit families): factor entries × live columns, where column k of
+  /// L counts once per panel column still nonzero at pivot k
+  /// (la::staircase_solve_work, fixed at prepare() from the factor pattern
+  /// and the staircase order of the panel). The unpruned solve would count
+  /// nnz(L) × solve columns per refresh. Schur-based, hybrid and implicit
+  /// families stay 0. Same accumulation and thread-safety contract as
+  /// solve_columns().
+  [[nodiscard]] long solve_work() const {
+    return solve_work_.load(std::memory_order_relaxed);
+  }
+
  protected:
   /// Single-vector application hook: y = F x.
   virtual void apply_one(const double* x, double* y) = 0;
@@ -209,6 +221,8 @@ class DualOperator {
   /// Incremented by the explicit implementations per refreshed subdomain
   /// (m dense / nb sp); atomic for the same concurrent-reader contract.
   std::atomic<long> solve_columns_{0};
+  /// Incremented with solve_columns_ by the TRSM/SYRK explicit families.
+  std::atomic<long> solve_work_{0};
   /// Maintained by begin_update/end_update; atomic per counter for the
   /// same concurrent-reader contract.
   AtomicCacheStats cache_stats_;

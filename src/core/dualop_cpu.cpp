@@ -33,11 +33,6 @@ namespace feti::core {
 
 namespace {
 
-void zero_fill(la::DenseView v) {
-  for (idx c = 0; c < v.cols; ++c)
-    for (idx r = 0; r < v.rows; ++r) v.at(r, c) = 0.0;
-}
-
 // ---------------------------------------------------------------------------
 // Implicit CPU (impl mkl / impl cholmod)
 // ---------------------------------------------------------------------------
@@ -388,7 +383,7 @@ class ExplicitCpuSchurDualOp final : public ExplicitCpuBaseT<T> {
           const idx nb = boundary_[s].count();
           if (nb == 0) {
             solvers_[s]->factorize(p_.sub[s].k_reg);
-            zero_fill(target);
+            la::set_zero(target);
           } else {
             la::DenseMatrix g(nb, nb, la::Layout::ColMajor);
             solvers_[s]->factorize_schur(p_.sub[s].k_reg, e_b_[s], g.view(),
@@ -422,7 +417,11 @@ class ExplicitCpuSchurDualOp final : public ExplicitCpuBaseT<T> {
   std::vector<la::Csr> e_b_;                    ///< sp only: selection E_b
 };
 
-/// expl cholmod: factor extraction, densified B̃ᵀ, TRSM + SYRK.
+/// expl cholmod: factor extraction, densified B̃ᵀ, TRSM + SYRK. The solve
+/// panel's columns run in staircase order (la::staircase_order), so the
+/// forward solve and the Gram product skip the zero staircase; the dense
+/// variant un-permutes the Gram block into F̃ᵢ's λ order, the sp variant
+/// numbers the boundary in that order and renumbers B_b's columns to match.
 template <typename T>
 class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
   using Base = ExplicitCpuBaseT<T>;
@@ -439,25 +438,37 @@ class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
     const idx nsub = p_.num_subdomains();
     solvers_.resize(static_cast<std::size_t>(nsub));
     bperm_.resize(solvers_.size());
-    if (sparsity_) boundary_.resize(solvers_.size());
+    work_.resize(solvers_.size());
+    if (sparsity_)
+      b_b_.resize(solvers_.size());
+    else
+      pos_.resize(solvers_.size());
     this->alloc_dense_f();
     OmpExceptionGuard guard;
 #pragma omp parallel for schedule(dynamic)
     for (idx s = 0; s < nsub; ++s) {
       guard.run([&, s] {
+        const auto& fs = p_.sub[s];
         solvers_[s] = std::make_unique<sparse::SimplicialCholesky>();
-        solvers_[s]->analyze(p_.sub[s].k_reg, ordering_);
+        solvers_[s]->analyze(fs.k_reg, ordering_);
+        const std::vector<idx>& perm = solvers_[s]->permutation();
         if (sparsity_) {
           // Boundary-restricted RHS: the forward solve runs against the
           // nb-column selection E_bᵀ instead of the m-column densified B̃ᵢᵀ.
-          boundary_[s] = decomp::boundary_dofs(p_.sub[s]);
-          bperm_[s] = la::permute_columns(
-              decomp::boundary_selection(boundary_[s], p_.sub[s].ndof()),
-              solvers_[s]->permutation());
+          const decomp::BoundaryDofs boundary = decomp::boundary_dofs(fs);
+          const la::Csr panel = la::permute_columns(
+              decomp::boundary_selection(boundary, fs.ndof()), perm);
+          const std::vector<idx> order = la::staircase_order(panel);
+          bperm_[s] = la::permute_rows(panel, order);
+          b_b_[s] = la::permute_columns(boundary.b_b, order);
         } else {
-          bperm_[s] =
-              la::permute_columns(p_.sub[s].b, solvers_[s]->permutation());
+          const la::Csr panel = la::permute_columns(fs.b, perm);
+          const std::vector<idx> order = la::staircase_order(panel);
+          bperm_[s] = la::permute_rows(panel, order);
+          pos_[s] = la::invert_permutation(order);
         }
+        work_[s] = la::staircase_solve_work(
+            solvers_[s]->factor_upper_structure(), bperm_[s]);
       });
     }
     guard.rethrow();
@@ -476,37 +487,38 @@ class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
         const auto& fs = p_.sub[s];
         solvers_[s]->factorize(fs.k_reg);
         const la::Csr& u = solvers_[s]->factor_upper();
-        la::DenseMatrix scratch;
-        la::DenseView target = this->assembly_target(s, scratch);
         // The solve panel: the sp variant restricts it to the nb boundary
         // columns (E_b Pᵀ)ᵀ; the dense one densifies all m columns of
         // (B̃ᵢ Pᵀ)ᵀ — the point the paper makes about this approach: the
         // sparsity of B̃ᵢ is not used.
-        const idx cols = bperm_[s].nrows();
+        const la::Csr& panel = bperm_[s];
+        const idx cols = panel.nrows();
         if (sparsity_ && cols == 0) {
-          zero_fill(target);
-          this->commit_f(s, scratch);
+          this->f_[s].set_zero();
           return;
         }
         la::DenseMatrix x(fs.ndof(), cols, la::Layout::RowMajor);
-        for (idx r = 0; r < bperm_[s].nrows(); ++r)
-          for (idx k = bperm_[s].row_begin(r); k < bperm_[s].row_end(r); ++k)
-            x.at(bperm_[s].col(k), r) = bperm_[s].val(k);
-        // Forward solve L X = X (U^T X = X), then the Gram matrix X^T X:
-        // the full F̃ for the dense variant, G_bb = E_b K⁻¹ E_bᵀ for sp.
+        for (idx r = 0; r < cols; ++r)
+          for (idx e = panel.row_begin(r); e < panel.row_end(r); ++e)
+            x.at(panel.col(e), r) = panel.val(e);
+        // Forward solve L X = X (U^T X = X), then the Gram matrix X^T X in
+        // staircase order: G_bb = E_b K⁻¹ E_bᵀ for sp, F̃ᵢ for dense.
         la::sp_trsm(la::Uplo::Upper, la::Trans::Yes, u, x.view());
+        la::DenseMatrix g(cols, cols, la::Layout::ColMajor);
+        la::syrk(la::Uplo::Upper, la::Trans::Yes, 1.0, x.cview(), 0.0,
+                 g.view());
         if (sparsity_) {
-          la::DenseMatrix g(cols, cols, la::Layout::ColMajor);
-          la::syrk(la::Uplo::Upper, la::Trans::Yes, 1.0, x.cview(), 0.0,
-                   g.view());
-          decomp::expand_boundary(boundary_[s].b_b, g.view(),
-                                  la::Uplo::Upper, target);
+          la::DenseMatrix scratch;
+          la::DenseView target = this->assembly_target(s, scratch);
+          decomp::expand_boundary(b_b_[s], g.view(), la::Uplo::Upper,
+                                  target);
+          this->commit_f(s, scratch);
         } else {
-          la::syrk(la::Uplo::Upper, la::Trans::Yes, 1.0, x.cview(), 0.0,
-                   target);
+          la::unpermute_triangle(la::Uplo::Upper, pos_[s].data(), g.cview(),
+                                 this->f_[s].view());
         }
         this->solve_columns_.fetch_add(cols, std::memory_order_relaxed);
-        this->commit_f(s, scratch);
+        this->solve_work_.fetch_add(work_[s], std::memory_order_relaxed);
       });
     }
     guard.rethrow();
@@ -521,8 +533,13 @@ class ExplicitCpuTrsmDualOp final : public ExplicitCpuBaseT<T> {
   sparse::OrderingKind ordering_;
   bool sparsity_;
   std::vector<std::unique_ptr<sparse::SimplicialCholesky>> solvers_;
-  std::vector<la::Csr> bperm_;  ///< (B̃ᵢ Pᵀ) dense variant, (E_b Pᵀ) sp
-  std::vector<decomp::BoundaryDofs> boundary_;  ///< sp only
+  /// The staircase-ordered solve panel: (B̃ᵢ Pᵀ) rows for dense, (E_b Pᵀ)
+  /// rows for sp.
+  std::vector<la::Csr> bperm_;
+  std::vector<long> work_;  ///< staircase_solve_work per refresh
+  std::vector<std::vector<idx>> pos_;  ///< dense: λ -> staircase position
+  /// sp: B_b with its columns in the panel's (elimination) order.
+  std::vector<la::Csr> b_b_;
 };
 
 }  // namespace

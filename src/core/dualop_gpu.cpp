@@ -194,6 +194,7 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
   using Base::dev_;
   using Base::p_;
   using Base::solve_columns_;
+  using Base::solve_work_;
 
  public:
   ExplicitGpuDualOpT(const decomp::FetiProblem& p, gpu::sparse::Api api,
@@ -206,8 +207,8 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
   ~ExplicitGpuDualOpT() override {
     dev_.synchronize();
     for (auto& b : bperm_dev_) gpu::free_csr(dev_, b);
-    for (auto& e : eperm_dev_) gpu::free_csr(dev_, e);
     for (auto& b : bb_dev_) gpu::free_csr(dev_, b);
+    for (idx* pos : pos_dev_) dev_.free(pos);
     for (auto& f : factor_dev_) gpu::free_csr(dev_, f);
     // packed_ stays empty if prepare() failed before allocate_f().
     for (std::size_t s = 0; s < f_.size(); ++s)
@@ -240,9 +241,10 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
     solvers_.resize(nsub);
     bperm_host_.resize(nsub);
     bperm_dev_.resize(nsub);
-    boundary_.resize(nsub);
-    eperm_host_.resize(nsub);
-    eperm_dev_.resize(nsub);
+    pos_host_.resize(nsub);
+    pos_dev_.assign(nsub, nullptr);
+    work_.assign(nsub, 0);
+    bb_host_.resize(nsub);
     bb_dev_.resize(nsub);
     factor_dev_.resize(nsub);
     fwd_plan_.resize(nsub);
@@ -264,18 +266,23 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
       const la::Csr& u = solvers_[s]->factor_upper_structure();
       if (need_dense_factor) factor_dev_[s] = gpu::upload_csr(dev_, st, u);
       const idx m = fs.num_local_lambdas();
+      const std::vector<idx>& perm = solvers_[s]->permutation();
       if (sparsity_) {
         // Constant data of the boundary-restricted assembly: the
-        // (column-permuted) boundary selection E_b as the solve RHS and
-        // the column-compressed gluing matrix B_b for the expansion.
-        boundary_[s] = decomp::boundary_dofs(fs);
-        const idx nb = boundary_[s].count();
+        // (column-permuted) boundary selection E_b as the solve RHS, its
+        // rows in staircase order, which numbers the boundary in
+        // elimination order, and the column-compressed gluing matrix B_b
+        // with its columns renumbered to match, for the expansion.
+        const decomp::BoundaryDofs boundary = decomp::boundary_dofs(fs);
+        const idx nb = boundary.count();
         if (nb > 0) {
-          eperm_host_[s] = la::permute_columns(
-              decomp::boundary_selection(boundary_[s], fs.ndof()),
-              solvers_[s]->permutation());
-          eperm_dev_[s] = gpu::upload_csr(dev_, st, eperm_host_[s]);
-          bb_dev_[s] = gpu::upload_csr(dev_, st, boundary_[s].b_b);
+          const la::Csr panel = la::permute_columns(
+              decomp::boundary_selection(boundary, fs.ndof()), perm);
+          const std::vector<idx> order = la::staircase_order(panel);
+          bperm_host_[s] = la::permute_rows(panel, order);
+          bb_host_[s] = la::permute_columns(boundary.b_b, order);
+          bperm_dev_[s] = gpu::upload_csr(dev_, st, bperm_host_[s]);
+          bb_dev_[s] = gpu::upload_csr(dev_, st, bb_host_[s]);
           if (opt_.fwd_storage == FactorStorage::Sparse)
             fwd_plan_[s] = gpu::sparse::SpTrsmPlan(
                 dev_, st, api_, u, opt_.fwd_order, /*forward=*/true,
@@ -283,8 +290,17 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
         }
       } else {
         // Constant data to the device: the (column-permuted) gluing
-        // matrix and the factor structure.
-        bperm_host_[s] = la::permute_columns(fs.b, solvers_[s]->permutation());
+        // matrix and the factor structure. The SYRK path solves its
+        // columns in staircase order and un-permutes F̃ᵢ once at the end
+        // through pos (λ -> staircase position); the TRSM path's SpMM
+        // needs B̃ᵢ in λ order and keeps it.
+        bperm_host_[s] = la::permute_columns(fs.b, perm);
+        if (opt_.path == Path::Syrk) {
+          const std::vector<idx> order = la::staircase_order(bperm_host_[s]);
+          bperm_host_[s] = la::permute_rows(bperm_host_[s], order);
+          pos_host_[s] = la::invert_permutation(order);
+          pos_dev_[s] = gpu::upload_array(dev_, st, pos_host_[s]);
+        }
         bperm_dev_[s] = gpu::upload_csr(dev_, st, bperm_host_[s]);
         if (opt_.fwd_storage == FactorStorage::Sparse)
           fwd_plan_[s] = gpu::sparse::SpTrsmPlan(
@@ -296,6 +312,7 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
               dev_, st, api_, u, opt_.bwd_order, /*forward=*/false,
               opt_.rhs_order, m);
       }
+      work_[s] = la::staircase_solve_work(u, bperm_host_[s]);
     });
     allocate_f();
   }
@@ -331,21 +348,17 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
     void* ws_fwd = nullptr;
     void* ws_bwd = nullptr;
 
-    // The fp64 assembly target: the persistent block itself for the
-    // fp64 operator, a temporary fp64 buffer for the fp32 one (demoted
-    // into the persistent block below).
-    double* f_scratch = nullptr;
-    gpu::DeviceDense f_target;
-    if constexpr (std::is_same_v<T, float>) {
-      f_scratch = static_cast<double*>(temp.alloc(
+    // An fp64 m×m scratch: the staircase-ordered Gram block of the SYRK
+    // path, and the fp32 TRSM path's assembly target (demoted below). The
+    // fp64 TRSM path assembles into the persistent block itself.
+    double* f_buf = nullptr;
+    if (opt_.path == Path::Syrk || std::is_same_v<T, float>)
+      f_buf = static_cast<double*>(temp.alloc(
           sizeof(double) * static_cast<std::size_t>(m) * m));
-      f_target = gpu::DeviceDense{f_scratch, m, m, m,
-                                  la::Layout::ColMajor};
-    } else {
-      f_target = f_[s];
-    }
+    const gpu::DeviceDense f_scratch{f_buf, m, m, m, la::Layout::ColMajor};
 
-    // Dense RHS X = (B̃ᵢ P^T)^T, converted on the device.
+    // Dense RHS X = (B̃ᵢ P^T)^T, converted on the device (its columns in
+    // staircase order on the SYRK path).
     gpu::sparse::csr_to_dense_transposed(st, bperm_dev_[s], x);
 
     // Forward solve L X = X.
@@ -362,10 +375,13 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
     }
 
     if (opt_.path == Path::Syrk) {
-      // F̃ᵢ = X^T X; the stored triangle is per-subdomain when triangle
-      // packing is active (footnote 1).
-      gpu::blas::syrk(st, uplo_[s], la::Trans::Yes, 1.0, x, 0.0,
-                      f_target);
+      // F̃ᵢ = X^T X in staircase order, then one kernel writes the stored
+      // triangle in λ order — per-subdomain when triangle packing is
+      // active (footnote 1) — demoting it for fp32 storage.
+      gpu::blas::syrk(st, la::Uplo::Upper, la::Trans::Yes, 1.0, x, 0.0,
+                      f_scratch);
+      gpu::kernels::unpermute_triangle(st, uplo_[s], pos_dev_[s], f_scratch,
+                                       f_[s]);
     } else {
       // Backward solve U Y = X, then F̃ᵢ = B̃ᵢ Y (SpMM).
       if (opt_.bwd_storage == FactorStorage::Sparse) {
@@ -386,32 +402,28 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
           gpu::blas::trsm(st, la::Uplo::Upper, la::Trans::No, df, x);
         }
       }
-      gpu::sparse::spmm(st, 1.0, bperm_dev_[s], la::Trans::No, x, 0.0,
-                        f_target);
+      // fp32 storage: assemble the full fp64 block, then demote it.
+      if constexpr (std::is_same_v<T, float>) {
+        gpu::sparse::spmm(st, 1.0, bperm_dev_[s], la::Trans::No, x, 0.0,
+                          f_scratch);
+        gpu::kernels::demote(st, f_scratch, f_[s]);
+      } else {
+        gpu::sparse::spmm(st, 1.0, bperm_dev_[s], la::Trans::No, x, 0.0,
+                          f_[s]);
+      }
     }
     solve_columns_.fetch_add(m, std::memory_order_relaxed);
-
-    // fp32 storage: demote the assembled fp64 block into the
-    // persistent fp32 one. The SYRK path wrote only one triangle (and
-    // the packed pairs share an allocation), so the demotion is
-    // triangle-only there; the TRSM path stores F̃ᵢ full.
-    if constexpr (std::is_same_v<T, float>) {
-      if (opt_.path == Path::Syrk)
-        gpu::kernels::demote_triangle(st, uplo_[s], f_target, f_[s]);
-      else
-        gpu::kernels::demote(st, f_target, f_[s]);
-    }
+    solve_work_.fetch_add(work_[s], std::memory_order_relaxed);
 
     // Stream-ordered release of the temporaries: they are freed once the
     // kernels of this subdomain have executed.
-    st.submit([&temp, x_buf, dense_fwd, dense_bwd, ws_fwd, ws_bwd,
-               f_scratch] {
+    st.submit([&temp, x_buf, dense_fwd, dense_bwd, ws_fwd, ws_bwd, f_buf] {
       temp.free(x_buf);
       if (dense_fwd != nullptr) temp.free(dense_fwd);
       if (dense_bwd != nullptr) temp.free(dense_bwd);
       if (ws_fwd != nullptr) temp.free(ws_fwd);
       if (ws_bwd != nullptr) temp.free(ws_bwd);
-      if (f_scratch != nullptr) temp.free(f_scratch);
+      if (f_buf != nullptr) temp.free(f_buf);
     });
   }
 
@@ -489,7 +501,7 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
     const auto& fs = p_.sub[s];
     const idx n = fs.ndof();
     const idx m = fs.num_local_lambdas();
-    const idx nb = boundary_[s].count();
+    const idx nb = bperm_host_[s].nrows();
 
     // The fp64 assembly target: the persistent block itself for the fp64
     // operator, a temporary fp64 buffer for the fp32 one.
@@ -514,13 +526,14 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
     }
 
     // Boundary-restricted dense RHS W = (E_b P^T)^T, converted on the
-    // device: n × nb instead of the dense path's n × m.
+    // device: n × nb instead of the dense path's n × m, its columns (the
+    // boundary DOFs) in staircase order.
     auto* w_buf = static_cast<double*>(
         temp.alloc(sizeof(double) * static_cast<std::size_t>(n) * nb));
     gpu::DeviceDense w{w_buf, n, nb,
                        opt_.rhs_order == la::Layout::RowMajor ? nb : n,
                        opt_.rhs_order};
-    gpu::sparse::csr_to_dense_transposed(st, eperm_dev_[s], w);
+    gpu::sparse::csr_to_dense_transposed(st, bperm_dev_[s], w);
 
     // Forward solve L W = W.
     double* dense_fwd = nullptr;
@@ -562,6 +575,7 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
       gpu::kernels::demote(st, f_target, f_[s]);
 
     solve_columns_.fetch_add(nb, std::memory_order_relaxed);
+    solve_work_.fetch_add(work_[s], std::memory_order_relaxed);
 
     st.submit([&temp, w_buf, dense_fwd, ws_fwd, g_buf, t_buf, f_scratch] {
       temp.free(w_buf);
@@ -578,14 +592,17 @@ class ExplicitGpuDualOpT final : public GpuDualOpBase<T> {
   sparse::OrderingKind ordering_;
   bool sparsity_ = false;  ///< boundary-restricted assembly (" sp" keys)
   std::vector<std::unique_ptr<sparse::SimplicialCholesky>> solvers_;
+  /// The solve panel on host and device: B̃ᵢ Pᵀ, or E_b Pᵀ for sp, its
+  /// rows in staircase order except on the TRSM path.
   std::vector<la::Csr> bperm_host_;
   std::vector<gpu::DeviceCsr> bperm_dev_;
-  /// sp-only state: per-subdomain boundary DOF sets (boundary_[s].b_b is
-  /// the host column-compressed gluing matrix behind bb_dev_[s]), the
-  /// permuted boundary selection E_b on host and device.
-  std::vector<decomp::BoundaryDofs> boundary_;
-  std::vector<la::Csr> eperm_host_;
-  std::vector<gpu::DeviceCsr> eperm_dev_;
+  /// Dense SYRK path: λ -> staircase position, the un-permute's map.
+  std::vector<std::vector<idx>> pos_host_;
+  std::vector<idx*> pos_dev_;
+  std::vector<long> work_;  ///< staircase_solve_work per refresh
+  /// sp-only: the column-compressed gluing matrix B_b of the expansion,
+  /// its columns in the panel's staircase order, on host and device.
+  std::vector<la::Csr> bb_host_;
   std::vector<gpu::DeviceCsr> bb_dev_;
   std::vector<gpu::DeviceCsr> factor_dev_;
   std::vector<gpu::sparse::SpTrsmPlan> fwd_plan_, bwd_plan_;
@@ -823,9 +840,7 @@ class HybridDualOpT final : public GpuDualOpBase<T> {
       const idx nb = boundary_[s].count();
       if (nb == 0) {
         solvers_[s]->factorize(fs.k_reg);
-        la::DenseView fv = f_host_[s].view();
-        for (idx c = 0; c < fv.cols; ++c)
-          for (idx r = 0; r < fv.rows; ++r) fv.at(r, c) = 0.0;
+        f_host_[s].set_zero();
       } else {
         la::DenseMatrix g(nb, nb, la::Layout::ColMajor);
         solvers_[s]->factorize_schur(fs.k_reg, e_b_[s], g.view(),

@@ -3,8 +3,9 @@
 // Auxiliary device kernels: batched scatter/gather between the cluster-wide
 // dual vector and the per-subdomain dual vectors (Section IV-B/IV-C of the
 // paper: a single kernel handles all subdomains when scatter/gather runs on
-// the GPU), plus small vector utilities and the fp64→fp32 demotion kernels
-// of the mixed-precision explicit operators.
+// the GPU), plus small vector utilities, the fp64→fp32 demotion kernel of
+// the mixed-precision explicit operators and the un-permute of the
+// staircase-ordered explicit assembly.
 //
 // The kernels move all subdomains × all right-hand sides in one submission
 // (a single dual vector is nrhs = 1): the cluster-wide block stores its
@@ -143,11 +144,16 @@ void fill_zero(Stream& s, double* data, idx n);
 /// and leading dimensions may differ). One stream-ordered submission.
 void demote(Stream& s, DeviceDense src, DeviceDenseF32 dst);
 
-/// Triangle-only demotion for symmetric-packed fp32 storage: only the
-/// `uplo` triangle of `dst` is written, so two matrices sharing one packed
-/// allocation with opposite triangles stay disjoint (paper footnote 1).
-void demote_triangle(Stream& s, la::Uplo uplo, DeviceDense src,
-                     DeviceDenseF32 dst);
+/// Writes the `uplo` triangle of the stored F̃ᵢ from its staircase-ordered
+/// assembly (la::unpermute_triangle): dst(i, j) = src(pos[i], pos[j]),
+/// reading src's Upper triangle; `pos` is a device array. Only the `uplo`
+/// triangle of `dst` is written, so two blocks sharing one packed
+/// allocation with opposite triangles stay disjoint (paper footnote 1); the
+/// fp32 overload demotes on the way.
+void unpermute_triangle(Stream& s, la::Uplo uplo, const idx* pos,
+                        DeviceDense src, DeviceDense dst);
+void unpermute_triangle(Stream& s, la::Uplo uplo, const idx* pos,
+                        DeviceDense src, DeviceDenseF32 dst);
 
 /// Mirrors the stored triangle of a square device matrix onto the other
 /// one (the device analogue of la::symmetrize_from). Used by the

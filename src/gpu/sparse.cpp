@@ -293,8 +293,7 @@ void csr_to_dense(Stream& s, DeviceCsr a, DeviceDense out) {
         "csr_to_dense: dimension mismatch");
   s.submit([a, out] {
     la::DenseView o = out.view();
-    for (idx r = 0; r < o.rows; ++r)
-      for (idx c = 0; c < o.cols; ++c) o.at(r, c) = 0.0;
+    la::set_zero(o);
     const la::CsrView v = device_view(a);
     for (idx r = 0; r < v.nrows(); ++r)
       for (idx k = v.row_begin(r); k < v.row_end(r); ++k)
@@ -307,8 +306,7 @@ void csr_to_dense_transposed(Stream& s, DeviceCsr a, DeviceDense out) {
         "csr_to_dense_transposed: dimension mismatch");
   s.submit([a, out] {
     la::DenseView o = out.view();
-    for (idx r = 0; r < o.rows; ++r)
-      for (idx c = 0; c < o.cols; ++c) o.at(r, c) = 0.0;
+    la::set_zero(o);
     const la::CsrView v = device_view(a);
     for (idx r = 0; r < v.nrows(); ++r)
       for (idx k = v.row_begin(r); k < v.row_end(r); ++k)

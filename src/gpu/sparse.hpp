@@ -101,7 +101,8 @@ void spmv(Stream& s, double alpha, DeviceCsr a, la::Trans trans,
 void spmm(Stream& s, double alpha, DeviceCsr a, la::Trans trans,
           DeviceDense b, double beta, DeviceDense c);
 
-/// Dense conversion on the device (zero-fills first).
+/// Dense conversion on the device (zero-fills first, in the output's
+/// storage order).
 void csr_to_dense(Stream& s, DeviceCsr a, DeviceDense out);
 /// out = A^T as dense (builds the dense RHS B̃ᵀ directly from B̃).
 void csr_to_dense_transposed(Stream& s, DeviceCsr a, DeviceDense out);

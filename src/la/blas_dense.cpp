@@ -1,5 +1,6 @@
 #include "la/blas_dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -277,6 +278,71 @@ void gemm(double alpha, ConstDenseView a, Trans ta, ConstDenseView b,
   gemm_impl<double>(alpha, a, ta, b, tb, beta, c);
 }
 
+namespace {
+
+// ---- SYRK ----
+//
+// The stored triangle of the n×n output is swept as contiguous lines: line
+// l is column l of a column-major C or row l of a row-major one, and holds
+// the offsets [0, l] (`head`: column-major Upper, row-major Lower) or
+// [l, n). Element (r, j) sits at offset r of line j (column-major) or
+// offset j of line r (row-major). Both forms prune the zero staircase of a
+// forward-solve panel: the dot-product form starts each dot at the later
+// first nonzero of its two operand rows, and the rank-update form keeps a
+// running live width, so rows and columns of C that every term so far
+// leaves at zero are never touched. The skipped terms are exact zeros, so
+// every element keeps the value of the unpruned sum.
+
+struct TriLines {
+  double* data;
+  widx ld;
+  idx n;
+  bool head;
+  bool col_major;
+  [[nodiscard]] double* line(idx l) const {
+    return data + static_cast<widx>(l) * ld;
+  }
+  [[nodiscard]] idx begin(idx l) const { return head ? 0 : l; }
+  [[nodiscard]] idx end(idx l) const { return head ? l + 1 : n; }
+};
+
+constexpr int kSyrkRows = 4;  ///< operand rows per rank-update sweep
+
+/// Adds the rank-1 terms of the K contiguous panel rows x[0..K) to every
+/// stored element (r, j) with r, j below the live width, which it first
+/// extends over those rows and then returns: each element receives
+/// (alpha·x_i[r])·x_i[j] for i = 0..K-1 in order, loaded and stored once
+/// per K terms. `ax_buf` holds K·n scratch doubles.
+template <int K>
+idx syrk_sweep(const TriLines& c, double alpha, const double* const* x,
+               idx live, double* ax_buf) {
+  for (int i = 0; i < K; ++i) live = detail::extend_live(x[i], c.n, live);
+  const double* ax[K];
+  for (int i = 0; i < K; ++i) {
+    double* axi = ax_buf + static_cast<widx>(i) * c.n;
+    for (idx r = 0; r < live; ++r) axi[r] = alpha * x[i][r];
+    ax[i] = axi;
+  }
+  // Column-major line j: the line scalar is x_i[j], the vector alpha·x_i;
+  // row-major line r: the scalar is alpha·x_i[r], the vector x_i.
+  const double* const* scal_src = c.col_major ? x : ax;
+  const double* const* vec = c.col_major ? ax : x;
+  for (idx l = 0; l < live; ++l) {
+    double s[K];
+    for (int i = 0; i < K; ++i) s[i] = scal_src[i][l];
+    double* cl = c.line(l);
+    const idx e = std::min(c.end(l), live);
+    for (idx q = c.begin(l); q < e; ++q) {
+      double v = cl[q];
+      for (int i = 0; i < K; ++i) v += vec[i][q] * s[i];
+      cl[q] = v;
+    }
+  }
+  return live;
+}
+
+}  // namespace
+
 void syrk(Uplo uplo, Trans trans, double alpha, ConstDenseView a, double beta,
           DenseView c) {
   const idx n = trans == Trans::No ? a.rows : a.cols;
@@ -284,51 +350,51 @@ void syrk(Uplo uplo, Trans trans, double alpha, ConstDenseView a, double beta,
   check(c.rows == n && c.cols == n, "syrk: output dimension mismatch");
   // op(A)(i, p): row i of the logical n x k operand.
   const Strided op = make_op<double>(a, trans);
-  const bool rows_contiguous = op.sj == 1;
+  const bool col_major = c.layout == Layout::ColMajor;
+  const TriLines tri{c.data, static_cast<widx>(c.ld), n,
+                     col_major == (uplo == Uplo::Upper), col_major};
 
-  auto scale_triangle = [&] {
-    if (uplo == Uplo::Upper) {
-      for (idx r = 0; r < n; ++r)
-        for (idx col = r; col < n; ++col) store_scaled(beta, c.at(r, col));
-    } else {
-      for (idx r = 0; r < n; ++r)
-        for (idx col = 0; col <= r; ++col)
-          store_scaled(beta, c.at(r, col));
+  for (idx l = 0; l < n; ++l) {
+    double* cl = tri.line(l);
+    for (idx q = tri.begin(l); q < tri.end(l); ++q)
+      detail::store_scaled(beta, cl[q]);
+  }
+
+  if (op.sj == 1) {
+    // Rows of op(A) are contiguous: dot products, each starting at the
+    // later first nonzero of its two rows.
+    auto row = [&](idx i) { return op.data + static_cast<widx>(i) * op.si; };
+    std::vector<idx> first(static_cast<std::size_t>(n));
+    for (idx i = 0; i < n; ++i) {
+      const double* x = row(i);
+      idx f = 0;
+      while (f < k && x[f] == 0.0) ++f;
+      first[i] = f;
     }
-  };
-  scale_triangle();
-
-  if (rows_contiguous) {
-    // Dot products of contiguous rows of op(A).
-    for (idx r = 0; r < n; ++r) {
-      const double* xr = op.data + static_cast<widx>(r) * op.si;
-      if (uplo == Uplo::Upper) {
-        for (idx col = r; col < n; ++col) {
-          const double* xc = op.data + static_cast<widx>(col) * op.si;
-          c.at(r, col) += alpha * dot(k, xr, xc);
-        }
-      } else {
-        for (idx col = 0; col <= r; ++col) {
-          const double* xc = op.data + static_cast<widx>(col) * op.si;
-          c.at(r, col) += alpha * dot(k, xr, xc);
-        }
+    for (idx l = 0; l < n; ++l) {
+      double* cl = tri.line(l);
+      for (idx q = tri.begin(l); q < tri.end(l); ++q) {
+        const idx p0 = std::max(first[l], first[q]);
+        cl[q] += alpha * dot(k - p0, row(l) + p0, row(q) + p0);
       }
     }
-  } else {
-    // Columns of op(A)^T are contiguous: accumulate rank-1 updates with
-    // blocking over p for locality.
-    for (idx p = 0; p < k; ++p) {
-      const double* col = op.data + static_cast<widx>(p) * op.sj;
-      for (idx r = 0; r < n; ++r) {
-        const double av = alpha * col[r];
-        if (av == 0.0) continue;
-        if (uplo == Uplo::Upper) {
-          for (idx j = r; j < n; ++j) c.at(r, j) += av * col[j];
-        } else {
-          for (idx j = 0; j <= r; ++j) c.at(r, j) += av * col[j];
-        }
-      }
-    }
+    return;
+  }
+
+  // Columns of op(A) (rows of the panel) are contiguous: rank-1 updates,
+  // kSyrkRows panel rows per sweep over the live part of the triangle.
+  std::vector<double> ax_buf(static_cast<std::size_t>(kSyrkRows) * n);
+  const double* x[kSyrkRows];
+  idx live = 0;
+  idx p = 0;
+  for (; p + kSyrkRows <= k; p += kSyrkRows) {
+    for (int i = 0; i < kSyrkRows; ++i)
+      x[i] = op.data + static_cast<widx>(p + i) * op.sj;
+    live = syrk_sweep<kSyrkRows>(tri, alpha, x, live, ax_buf.data());
+  }
+  for (; p < k; ++p) {
+    x[0] = op.data + static_cast<widx>(p) * op.sj;
+    live = syrk_sweep<1>(tri, alpha, x, live, ax_buf.data());
   }
 }
 
@@ -370,12 +436,19 @@ void trsm_rows(const Strided& t, idx n, DenseView b) {
   const idx w = b.cols;
   auto row = [&](idx i) { return b.data + static_cast<widx>(i) * b.ld; };
   if constexpr (Lower) {
+    // Forward substitution, pruned to the live width: row kk is nonzero
+    // only in [0, live), because no earlier row reached further and its
+    // own input ends there. A staircase-ordered panel stays narrow for
+    // most pivots; any other panel is still solved exactly.
+    idx live = 0;
     for (idx kk = 0; kk < n; ++kk) {
-      scal(w, 1.0 / t.at(kk, kk), row(kk));
-      const double* rk = row(kk);
+      double* rk = row(kk);
+      live = detail::extend_live(rk, w, live);
+      if (live == 0) continue;
+      scal(live, 1.0 / t.at(kk, kk), rk);
       for (idx i = kk + 1; i < n; ++i) {
         const double f = t.at(i, kk);
-        if (f != 0.0) axpy(w, -f, rk, row(i));
+        if (f != 0.0) axpy(live, -f, rk, row(i));
       }
     }
   } else {

@@ -49,11 +49,25 @@ void symm(Uplo uplo, double alpha, ConstDenseView a, ConstDenseView b,
 /// Symmetric rank-k update writing one triangle of C:
 ///   trans == No : C = alpha * A * A^T + beta * C   (A is n x k)
 ///   trans == Yes: C = alpha * A^T * A + beta * C   (A is k x n)
+/// Only the `uplo` triangle of C is read or written, line by line in C's
+/// storage order. Staircase pruning: when the rows of op(A) are contiguous,
+/// each element is alpha times a dot product that starts at the later
+/// first nonzero of its two rows; otherwise each element accumulates its
+/// rank-1 terms (alpha·a_r)·a_j in ascending p, and the kernel keeps a
+/// running live width (one past the last nonzero of the panel rows seen so
+/// far) outside which it touches nothing. Both skip only exact-zero terms,
+/// so a forward-solve panel in staircase order costs far less and the
+/// result is bitwise that of the unpruned sum, whatever the panel order.
 void syrk(Uplo uplo, Trans trans, double alpha, ConstDenseView a, double beta,
           DenseView c);
 
 /// Solves op(A) * X = B in place of B (left side, unit diagonal not
-/// supported — factors here always carry explicit diagonals).
+/// supported — factors here always carry explicit diagonals). A forward
+/// solve with a row-major B keeps a running live width — one past the last
+/// nonzero of the rows reached so far — and runs its scal/axpy over
+/// [0, live) only, so the zero upper-right staircase of a panel whose
+/// columns are sorted by first nonzero (la::staircase_order) is skipped;
+/// the result is bitwise unchanged, and unsorted panels only prune less.
 void trsm(Uplo uplo, Trans trans, ConstDenseView a, DenseView b);
 
 /// Dense Cholesky factorization A = L L^T in place (lower triangle holds L,

@@ -80,21 +80,29 @@ void sp_trsv(Uplo uplo, Trans trans, CsrView t, double* x) {
 
 namespace {
 
+// The two forward forms prune a row-major RHS to its live width, as the
+// dense forward TRSM does (la/blas_dense.cpp): row r is nonzero only in
+// [0, live), one past the furthest nonzero of rows 0..r, so the scal and
+// axpy work on a staircase-ordered panel skips its zero upper-right part.
+
 /// Forward substitution, stored-lower CSR, no transpose. Diagonal is the
 /// last entry of each row (rows sorted). Gather form.
 void lower_notrans(CsrView t, DenseView b) {
   const idx n = t.nrows();
   const bool rm = b.layout == Layout::RowMajor;
+  idx live = 0;
   for (idx r = 0; r < n; ++r) {
     const idx e = t.row_end(r) - 1;
     FETI_ASSERT(t.col(e) == r, "sp_trsm: missing diagonal");
     const double dinv = 1.0 / t.val(e);
     if (rm) {
       double* xr = b.data + static_cast<widx>(r) * b.ld;
+      // The gathered rows are all earlier, so nonzero only in [0, live).
       for (idx k = t.row_begin(r); k < e; ++k)
-        axpy(b.cols, -t.val(k), b.data + static_cast<widx>(t.col(k)) * b.ld,
+        axpy(live, -t.val(k), b.data + static_cast<widx>(t.col(k)) * b.ld,
              xr);
-      scal(b.cols, dinv, xr);
+      live = detail::extend_live(xr, b.cols, live);
+      scal(live, dinv, xr);
     } else {
       for (idx j = 0; j < b.cols; ++j) {
         double acc = b.at(r, j);
@@ -161,15 +169,17 @@ void upper_notrans(CsrView t, DenseView b) {
 void upper_trans(CsrView t, DenseView b) {
   const idx n = t.nrows();
   const bool rm = b.layout == Layout::RowMajor;
+  idx live = 0;
   for (idx r = 0; r < n; ++r) {
     const idx s = t.row_begin(r);
     FETI_ASSERT(t.col(s) == r, "sp_trsm: missing diagonal");
     const double dinv = 1.0 / t.val(s);
     if (rm) {
       double* xr = b.data + static_cast<widx>(r) * b.ld;
-      scal(b.cols, dinv, xr);
+      live = detail::extend_live(xr, b.cols, live);
+      scal(live, dinv, xr);
       for (idx k = s + 1; k < t.row_end(r); ++k)
-        axpy(b.cols, -t.val(k), xr,
+        axpy(live, -t.val(k), xr,
              b.data + static_cast<widx>(t.col(k)) * b.ld);
     } else {
       for (idx j = 0; j < b.cols; ++j) b.at(r, j) *= dinv;

@@ -28,6 +28,11 @@ void sp_trsv(Uplo uplo, Trans trans, CsrView t, double* x);
 
 /// In-place sparse triangular solve with a dense multi-column RHS:
 /// op(T) X = B, X overwriting B. Row-major B vectorizes across columns.
+/// Both forward forms (stored lower without transpose, stored upper
+/// transposed) prune a row-major B to its live width like la::trsm: the
+/// scal/axpy of row r covers only [0, live), one past the last nonzero of
+/// rows 0..r, skipping the zero staircase of a staircase-ordered panel
+/// with bitwise-unchanged results.
 void sp_trsm(Uplo uplo, Trans trans, CsrView t, DenseView b);
 
 }  // namespace feti::la

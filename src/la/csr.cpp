@@ -171,4 +171,68 @@ Csr permute_columns(const Csr& b, const std::vector<idx>& perm) {
   return Csr::from_triplets(b.nrows(), b.ncols(), std::move(t));
 }
 
+namespace {
+
+/// First stored column of every row of `panel` (ncols for an empty row).
+std::vector<idx> first_columns(const Csr& panel) {
+  std::vector<idx> first(static_cast<std::size_t>(panel.nrows()));
+  for (idx r = 0; r < panel.nrows(); ++r)
+    first[r] = panel.row_begin(r) < panel.row_end(r)
+                   ? panel.col(panel.row_begin(r))
+                   : panel.ncols();
+  return first;
+}
+
+}  // namespace
+
+std::vector<idx> staircase_order(const Csr& panel) {
+  // Counting sort by first column: stable, and linear in the panel size.
+  const std::vector<idx> first = first_columns(panel);
+  std::vector<idx> start(static_cast<std::size_t>(panel.ncols()) + 2, 0);
+  for (idx f : first) ++start[f + 1];
+  for (std::size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<idx> order(first.size());
+  for (idx r = 0; r < panel.nrows(); ++r) order[start[first[r]]++] = r;
+  return order;
+}
+
+Csr permute_rows(const Csr& b, const std::vector<idx>& order) {
+  check(static_cast<idx>(order.size()) == b.nrows(),
+        "permute_rows: order size mismatch");
+  std::vector<idx> rowptr(order.size() + 1, 0);
+  std::vector<idx> colidx;
+  std::vector<double> vals;
+  colidx.reserve(static_cast<std::size_t>(b.nnz()));
+  vals.reserve(colidx.capacity());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const idx r = order[k];
+    for (idx e = b.row_begin(r); e < b.row_end(r); ++e) {
+      colidx.push_back(b.col(e));
+      vals.push_back(b.val(e));
+    }
+    rowptr[k + 1] = static_cast<idx>(colidx.size());
+  }
+  return Csr(b.nrows(), b.ncols(), std::move(rowptr), std::move(colidx),
+             std::move(vals));
+}
+
+long staircase_solve_work(const Csr& upper, const Csr& panel) {
+  if (panel.nrows() == 0) return 0;
+  check(upper.nrows() == panel.ncols(),
+        "staircase_solve_work: factor and panel disagree");
+  // last[k]: one past the last panel row whose first column is k; the
+  // live width at pivot k is the running maximum of last[0..k].
+  const std::vector<idx> first = first_columns(panel);
+  std::vector<idx> last(static_cast<std::size_t>(upper.nrows()), 0);
+  for (idx r = 0; r < panel.nrows(); ++r)
+    if (first[r] < panel.ncols()) last[first[r]] = r + 1;
+  long work = 0;
+  idx live = 0;
+  for (idx k = 0; k < upper.nrows(); ++k) {
+    live = std::max(live, last[k]);
+    work += static_cast<long>(upper.row_end(k) - upper.row_begin(k)) * live;
+  }
+  return work;
+}
+
 }  // namespace feti::la

@@ -112,4 +112,28 @@ std::vector<idx> invert_permutation(const std::vector<idx>& perm);
 /// (r, iperm[j]).
 Csr permute_columns(const Csr& b, const std::vector<idx>& perm);
 
+// ---- staircase order of a forward-solve panel ----
+//
+// The explicit assembly solves L X = panelᵀ, where each row of `panel`
+// (B̃ Pᵀ or E_b Pᵀ) is one right-hand-side column. Column j of L⁻¹ panelᵀ
+// is zero above the first stored entry of panel row j, so once the rows
+// are sorted by first stored column the solution is zero above a
+// staircase, and the solve and the Gram product can skip that region.
+
+/// The stable order of `panel`'s rows by first stored column: order[k] is
+/// the row placed k-th. Rows without entries go last. Pattern-only,
+/// O(nrows + ncols + nnz).
+std::vector<idx> staircase_order(const Csr& panel);
+
+/// Row k of the result is row order[k] of `b` (order is a permutation).
+Csr permute_rows(const Csr& b, const std::vector<idx>& order);
+
+/// Counted work of the staircase-pruned forward solve L X = panelᵀ with
+/// `upper` the pattern of U = Lᵀ (row k of U is column k of L): every
+/// factor entry of column k times the live width at pivot k, one past the
+/// last panel row whose first stored column is at most k. For a staircase-
+/// ordered panel that is the number of columns not yet zero at k; the
+/// unpruned solve would count nnz(L) × nrows(panel).
+long staircase_solve_work(const Csr& upper, const Csr& panel);
+
 }  // namespace feti::la

@@ -24,6 +24,14 @@ void copy(ConstDenseView src, DenseView dst) {
   }
 }
 
+void set_zero(DenseView a) {
+  const bool rm = a.layout == Layout::RowMajor;
+  const idx lines = rm ? a.rows : a.cols;
+  const idx len = rm ? a.cols : a.rows;
+  for (idx l = 0; l < lines; ++l)
+    std::fill_n(a.data + static_cast<widx>(l) * a.ld, len, 0.0);
+}
+
 double max_abs_diff(ConstDenseView a, ConstDenseView b) {
   check(a.rows == b.rows && a.cols == b.cols,
         "max_abs_diff: dimension mismatch");
@@ -61,6 +69,44 @@ void demote_triangle(Uplo uplo, ConstDenseView src, DenseViewF32 dst) {
       for (idx r = c; r < dst.rows; ++r)
         dst.at(r, c) = static_cast<float>(src.at(r, c));
   }
+}
+
+namespace {
+
+template <typename T>
+void unpermute_triangle_t(Uplo uplo, const idx* pos, ConstDenseView src,
+                          DenseViewT<T> dst) {
+  check(src.rows == src.cols && dst.rows == dst.cols &&
+            src.rows == dst.rows,
+        "unpermute_triangle: dimension mismatch");
+  const idx n = dst.rows;
+  // Line l of dst is column l (column-major) or row l (row-major); its
+  // stored part is the head [0, l] when the line runs down an Upper
+  // column or along a Lower row, the tail [l, n) otherwise.
+  const bool rm = dst.layout == Layout::RowMajor;
+  const bool head = rm == (uplo == Uplo::Lower);
+  for (idx l = 0; l < n; ++l) {
+    T* line = dst.data + static_cast<widx>(l) * dst.ld;
+    const idx pl = pos[l];
+    const idx begin = head ? 0 : l;
+    const idx end = head ? l + 1 : n;
+    for (idx q = begin; q < end; ++q) {
+      const idx pq = pos[q];
+      line[q] = static_cast<T>(pq <= pl ? src.at(pq, pl) : src.at(pl, pq));
+    }
+  }
+}
+
+}  // namespace
+
+void unpermute_triangle(Uplo uplo, const idx* pos, ConstDenseView src,
+                        DenseView dst) {
+  unpermute_triangle_t(uplo, pos, src, dst);
+}
+
+void unpermute_triangle(Uplo uplo, const idx* pos, ConstDenseView src,
+                        DenseViewF32 dst) {
+  unpermute_triangle_t(uplo, pos, src, dst);
 }
 
 void symmetrize_from(DenseView a, Uplo stored) {

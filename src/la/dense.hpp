@@ -125,6 +125,10 @@ using DenseMatrixF32 = DenseMatrixT<float>;
 /// Copies `src` into `dst` element-wise (layouts may differ).
 void copy(ConstDenseView src, DenseView dst);
 
+/// Zeroes every element of `a`, one contiguous line (column of a
+/// column-major view, row of a row-major one) at a time.
+void set_zero(DenseView a);
+
 /// Max-abs difference between two equally sized views (test helper).
 double max_abs_diff(ConstDenseView a, ConstDenseView b);
 
@@ -139,5 +143,17 @@ void demote(ConstDenseView src, DenseViewF32 dst);
 /// triangle (diagonal included) of `dst` is written, so two matrices
 /// sharing one allocation with opposite triangles stay disjoint.
 void demote_triangle(Uplo uplo, ConstDenseView src, DenseViewF32 dst);
+
+/// Writes the `uplo` triangle (diagonal included) of a symmetric matrix in
+/// its original order from a copy held in another order: dst(i, j) =
+/// src(pos[i], pos[j]), reading only src's Upper triangle. This is the
+/// un-permute of the staircase-ordered explicit assembly (pos[i] is the
+/// staircase position of local dual unknown i); the fp32 overload demotes
+/// on the way. dst is written line by line in its storage order, and
+/// nothing outside its `uplo` triangle is touched.
+void unpermute_triangle(Uplo uplo, const idx* pos, ConstDenseView src,
+                        DenseView dst);
+void unpermute_triangle(Uplo uplo, const idx* pos, ConstDenseView src,
+                        DenseViewF32 dst);
 
 }  // namespace feti::la

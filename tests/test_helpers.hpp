@@ -4,6 +4,8 @@
 // and dense reference factorizations.
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "la/blas_dense.hpp"
@@ -96,6 +98,38 @@ inline la::Csr random_sparse(idx rows, idx cols, double density,
                    rng.uniform(-1.0, 1.0)});
   }
   return la::Csr::from_triplets(rows, cols, std::move(t));
+}
+
+/// Shapes of a forward-solve panel for the staircase-pruned kernels.
+enum class Stair : std::uint8_t { Sorted, Shuffled, ZeroLines };
+
+inline const char* to_string(Stair s) {
+  return s == Stair::Sorted     ? "sorted"
+         : s == Stair::Shuffled ? "shuffled"
+                                : "zero lines";
+}
+
+/// An n × w panel that is zero above a staircase: the column placed j-th
+/// starts at row j·n/w. Sorted keeps that order, Shuffled permutes the
+/// columns, ZeroLines zeroes every third column and every fourth row of the
+/// sorted panel.
+inline la::DenseMatrix staircase_panel(idx n, idx w, Stair shape,
+                                       la::Layout layout,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<idx> col(static_cast<std::size_t>(w));
+  for (idx j = 0; j < w; ++j) col[j] = j;
+  if (shape == Stair::Shuffled)
+    for (idx j = w - 1; j > 0; --j)
+      std::swap(col[j], col[rng.integer(0, j)]);
+  la::DenseMatrix m(n, w, layout);
+  for (idx j = 0; j < w; ++j)
+    for (idx r = j * n / w; r < n; ++r) {
+      const bool zero =
+          shape == Stair::ZeroLines && (j % 3 == 1 || r % 4 == 2);
+      m.at(r, col[j]) = zero ? 0.0 : rng.uniform(-1.0, 1.0);
+    }
+  return m;
 }
 
 }  // namespace feti::testing

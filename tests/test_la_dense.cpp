@@ -6,15 +6,26 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "la/blas_dense.hpp"
 #include "la/dense.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace feti::la {
 namespace {
+
+using testing::Stair;
+using testing::staircase_panel;
+
+/// (rows, columns) of the staircase panels the pruned kernels are checked
+/// on: single rows and columns, and widths off the kernels' 4-wide sweeps.
+constexpr std::pair<idx, idx> kStairShapes[] = {
+    {1, 1}, {1, 6}, {9, 1}, {13, 7}, {26, 11}};
 
 DenseMatrix random_matrix(idx rows, idx cols, Layout layout,
                           std::uint64_t seed) {
@@ -386,6 +397,68 @@ TEST_P(SyrkParam, MatchesReference) {
     }
 }
 
+// The staircase-pruned SYRK must equal, bit for bit, a naive sum in the
+// kernel's own order: for an operand in contiguous rows, a dot product
+// over p scaled by alpha once; otherwise rank-1 terms (alpha·x_r)·x_j added
+// in ascending p. NaN poison outside the stored triangle must survive, and
+// beta == 0 must overwrite poison inside it.
+TEST_P(SyrkParam, StaircasePanelsMatchNaiveOrderBitwise) {
+  const auto [la_, lc, trans, uplo] = GetParam();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double alpha = 0.75;
+  for (Stair shape : {Stair::Sorted, Stair::Shuffled, Stair::ZeroLines})
+    for (const auto& [k, n] : kStairShapes)
+      for (double beta : {0.0, 2.0}) {
+        // The operand rows are contiguous in one layout per trans, and in
+        // both when n == 1 (leading dimension 1).
+        const bool dot_form =
+            (la_ == Layout::RowMajor) == (trans == Trans::No) || n == 1;
+        SCOPED_TRACE(std::string(testing::to_string(shape)) + " k=" +
+                     std::to_string(k) + " n=" + std::to_string(n) +
+                     " beta=" + std::to_string(beta));
+        // x(i, p): entry p of operand row i, a column of the k × n panel.
+        const DenseMatrix panel =
+            staircase_panel(k, n, shape, Layout::ColMajor, 40 + k + n);
+        auto x = [&](idx i, idx p) { return panel.at(p, i); };
+        DenseMatrix a(trans == Trans::Yes ? k : n, trans == Trans::Yes ? n : k,
+                      la_);
+        for (idx r = 0; r < a.rows(); ++r)
+          for (idx c = 0; c < a.cols(); ++c)
+            a.at(r, c) = trans == Trans::Yes ? x(c, r) : x(r, c);
+        auto stored = [&](idx i, idx j) {
+          return uplo == Uplo::Upper ? j >= i : j <= i;
+        };
+        DenseMatrix c(n, n, lc);
+        Rng rng(41);
+        for (idx i = 0; i < n; ++i)
+          for (idx j = 0; j < n; ++j)
+            c.at(i, j) = stored(i, j) && beta != 0.0 ? rng.uniform(-1.0, 1.0)
+                                                     : nan;
+        DenseMatrix ref(n, n, Layout::ColMajor);
+        for (idx i = 0; i < n; ++i)
+          for (idx j = 0; j < n; ++j) {
+            if (!stored(i, j)) continue;
+            double v = beta == 0.0 ? 0.0 : beta * c.at(i, j);
+            if (dot_form) {
+              double s = 0.0;
+              for (idx p = 0; p < k; ++p) s += x(i, p) * x(j, p);
+              v += alpha * s;
+            } else {
+              for (idx p = 0; p < k; ++p) v += (alpha * x(i, p)) * x(j, p);
+            }
+            ref.at(i, j) = v;
+          }
+        syrk(uplo, trans, alpha, a.cview(), beta, c.view());
+        for (idx i = 0; i < n; ++i)
+          for (idx j = 0; j < n; ++j) {
+            if (stored(i, j))
+              EXPECT_EQ(c.at(i, j), ref.at(i, j)) << i << "," << j;
+            else
+              EXPECT_TRUE(std::isnan(c.at(i, j))) << i << "," << j;
+          }
+      }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, SyrkParam,
     ::testing::Combine(::testing::Values(Layout::RowMajor, Layout::ColMajor),
@@ -412,6 +485,39 @@ TEST_P(TrsmParam, SolvesAgainstMultiply) {
     }
   trsm(uplo, trans, t.cview(), b.view());
   EXPECT_LT(max_abs_diff(b.cview(), x_true.cview()), 1e-10);
+}
+
+// The pruned forward solve (and every other form) must equal, bit for bit,
+// a column-by-column substitution in the kernel's order: a row-major panel
+// scales each pivot by the reciprocal of the diagonal, a column-major one
+// divides by it.
+TEST_P(TrsmParam, StaircasePanelsMatchNaiveOrderBitwise) {
+  const auto [lt, lb, uplo, trans] = GetParam();
+  const bool lower_eff = (uplo == Uplo::Lower) != (trans == Trans::Yes);
+  for (Stair shape : {Stair::Sorted, Stair::Shuffled, Stair::ZeroLines})
+    for (const auto& [n, w] : kStairShapes) {
+      SCOPED_TRACE(std::string(testing::to_string(shape)) + " n=" +
+                   std::to_string(n) + " w=" + std::to_string(w));
+      const DenseMatrix t = random_triangular(n, uplo, lt, 50 + n);
+      DenseMatrix b = staircase_panel(n, w, shape, lb, 60 + n + w);
+      DenseMatrix ref(n, w, Layout::ColMajor);
+      copy(b.cview(), ref.view());
+      for (idx j = 0; j < w; ++j)
+        for (idx step = 0; step < n; ++step) {
+          const idx kk = lower_eff ? step : n - 1 - step;
+          const double d = ref_op_at(t.cview(), trans, kk, kk);
+          double& xk = ref.at(kk, j);
+          xk = lb == Layout::RowMajor ? xk * (1.0 / d) : xk / d;
+          const idx lo = lower_eff ? kk + 1 : 0;
+          const idx hi = lower_eff ? n : kk;
+          for (idx i = lo; i < hi; ++i)
+            ref.at(i, j) -= ref_op_at(t.cview(), trans, i, kk) * xk;
+        }
+      trsm(uplo, trans, t.cview(), b.view());
+      for (idx i = 0; i < n; ++i)
+        for (idx j = 0; j < w; ++j)
+          EXPECT_EQ(b.at(i, j), ref.at(i, j)) << i << "," << j;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "la/blas_dense.hpp"
 #include "la/blas_sparse.hpp"
 #include "la/csr.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace feti::la {
@@ -218,6 +222,51 @@ TEST_P(LaSpTrsmParam, SolvesAgainstDense) {
   EXPECT_LT(max_abs_diff(b.cview(), x_true.cview()), 1e-10);
 }
 
+// The pruned forward forms (and the backward ones) must equal, bit for
+// bit, a column-by-column substitution in the kernel's order: gather forms
+// subtract each stored off-diagonal term in row order and then scale by
+// the reciprocal diagonal, scatter forms scale first and then subtract the
+// pivot's multiples from later unknowns.
+TEST_P(LaSpTrsmParam, StaircasePanelsMatchNaiveOrderBitwise) {
+  const auto [lb, uplo, trans] = GetParam();
+  for (testing::Stair shape : {testing::Stair::Sorted,
+                               testing::Stair::Shuffled,
+                               testing::Stair::ZeroLines})
+    for (const auto& [n, w] :
+         {std::pair<idx, idx>{1, 1}, {1, 5}, {15, 1}, {20, 6}, {30, 9}}) {
+      SCOPED_TRACE(std::string(testing::to_string(shape)) + " n=" +
+                   std::to_string(n) + " w=" + std::to_string(w));
+      const Csr t = random_sparse_triangular(n, uplo, 0.3, 70 + n);
+      DenseMatrix b = testing::staircase_panel(n, w, shape, lb, 80 + n + w);
+      DenseMatrix ref(n, w, Layout::ColMajor);
+      copy(b.cview(), ref.view());
+      const bool gather = trans == Trans::No;
+      const bool forward = (uplo == Uplo::Lower) != (trans == Trans::Yes);
+      for (idx j = 0; j < w; ++j)
+        for (idx step = 0; step < n; ++step) {
+          const idx r = forward ? step : n - 1 - step;
+          // Lower rows keep the diagonal last, upper rows first.
+          const idx d = uplo == Uplo::Lower ? t.row_end(r) - 1 : t.row_begin(r);
+          const idx ob = uplo == Uplo::Lower ? t.row_begin(r) : d + 1;
+          const idx oe = uplo == Uplo::Lower ? d : t.row_end(r);
+          const double dinv = 1.0 / t.val(d);
+          if (gather) {
+            double v = ref.at(r, j);
+            for (idx e = ob; e < oe; ++e) v -= t.val(e) * ref.at(t.col(e), j);
+            ref.at(r, j) = v * dinv;
+          } else {
+            ref.at(r, j) *= dinv;
+            for (idx e = ob; e < oe; ++e)
+              ref.at(t.col(e), j) -= t.val(e) * ref.at(r, j);
+          }
+        }
+      sp_trsm(uplo, trans, t, b.view());
+      for (idx i = 0; i < n; ++i)
+        for (idx j = 0; j < w; ++j)
+          EXPECT_EQ(b.at(i, j), ref.at(i, j)) << i << "," << j;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, LaSpTrsmParam,
     ::testing::Combine(::testing::Values(Layout::RowMajor, Layout::ColMajor),
@@ -233,6 +282,61 @@ TEST(SpTrsv, MatchesSpTrsm) {
   DenseView bv{b2.data(), n, 1, n, Layout::ColMajor};
   sp_trsm(Uplo::Lower, Trans::Yes, t, bv);
   for (idx i = 0; i < n; ++i) EXPECT_NEAR(b[i], b2[i], 1e-13);
+}
+
+TEST(Csr, StaircaseOrderIsStableAndSortedByFirstColumn) {
+  // First stored columns 3, (empty), 1, 3, 0, 1.
+  const Csr panel = Csr::from_triplets(
+      6, 5,
+      {{0, 3, 1.0}, {0, 4, 2.0}, {2, 1, 3.0}, {3, 3, 4.0}, {4, 0, 5.0},
+       {4, 2, 6.0}, {5, 1, 7.0}});
+  const std::vector<idx> order = staircase_order(panel);
+  EXPECT_EQ(order, (std::vector<idx>{4, 2, 5, 0, 3, 1}));
+
+  const Csr sorted = permute_rows(panel, order);
+  sorted.validate();
+  for (idx k = 0; k < sorted.nrows(); ++k)
+    for (idx c = 0; c < panel.ncols(); ++c)
+      EXPECT_EQ(sorted.at(k, c), panel.at(order[k], c));
+
+  // A random panel: a stable permutation, nondecreasing in first column.
+  const Csr random = random_sparse(40, 25, 0.05, 90);
+  const std::vector<idx> ro = staircase_order(random);
+  EXPECT_EQ(invert_permutation(invert_permutation(ro)), ro);
+  auto first = [&](idx r) {
+    return random.row_begin(r) < random.row_end(r)
+               ? random.col(random.row_begin(r))
+               : random.ncols();
+  };
+  for (std::size_t k = 1; k < ro.size(); ++k) {
+    EXPECT_LE(first(ro[k - 1]), first(ro[k]));
+    if (first(ro[k - 1]) == first(ro[k])) {
+      EXPECT_LT(ro[k - 1], ro[k]);
+    }
+  }
+
+  // No rows (m = 0), and rows over no columns (nb = 0): all rows empty.
+  EXPECT_TRUE(staircase_order(Csr(0, 7)).empty());
+  EXPECT_EQ(staircase_order(Csr(3, 0)), (std::vector<idx>{0, 1, 2}));
+}
+
+TEST(Csr, StaircaseSolveWorkCountsLiveColumnsPerPivot) {
+  // U = Lᵀ with row lengths 3, 2, 2, 1: nnz(L) = 8.
+  const Csr u = Csr::from_triplets(4, 4,
+                                   {{0, 0, 1.0}, {0, 1, 1.0}, {0, 3, 1.0},
+                                    {1, 1, 1.0}, {1, 2, 1.0}, {2, 2, 1.0},
+                                    {2, 3, 1.0}, {3, 3, 1.0}});
+  // Panel rows starting at columns 2 and 0: in this order the second row
+  // is live from pivot 0, so both columns count everywhere (8 × 2).
+  const Csr panel =
+      Csr::from_triplets(2, 4, {{0, 2, 1.0}, {1, 0, 1.0}, {1, 3, 1.0}});
+  EXPECT_EQ(staircase_solve_work(u, panel), 16);
+  // Staircase order: one live column at pivots 0-1 (3 + 2 entries), two
+  // at pivots 2-3 (2 + 1 entries).
+  EXPECT_EQ(staircase_solve_work(u, permute_rows(panel,
+                                                 staircase_order(panel))),
+            11);
+  EXPECT_EQ(staircase_solve_work(u, Csr(0, 4)), 0);
 }
 
 TEST(Csr, EmptyMatrixBehaves) {

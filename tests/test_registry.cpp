@@ -17,7 +17,9 @@
 #include "core/autotune.hpp"
 #include "core/dualop_registry.hpp"
 #include "core/feti_solver.hpp"
+#include "decomp/boundary.hpp"
 #include "precond/precond_registry.hpp"
+#include "sparse/simplicial_cholesky.hpp"
 #include "test_helpers.hpp"
 
 namespace feti::core {
@@ -550,6 +552,47 @@ TEST(MixedPrecision, F32KeysMatchTheirF64SiblingsForEveryBatchWidth) {
   }
   // Every dense f32 key gained an sp f32 sibling, doubling the count.
   EXPECT_EQ(f32_keys, 10);
+}
+
+TEST(SparsityAware, TrsmSyrkKeysCountPrunedForwardSolveWork) {
+  // The TRSM/SYRK explicit families solve their panel in staircase order:
+  // the counted forward-solve work (factor entries × live columns) is
+  // positive, strictly below the unpruned nnz(L) × solve columns, and
+  // accumulates per refresh. Every other family counts none.
+  FetiProblem p = heat2d_problem(6, 2);
+  auto& registry = DualOperatorRegistry::instance();
+  int pruned_keys = 0;
+  for (const std::string& key : registry.keys()) {
+    DualOpConfig cfg = recommend_config(key, 2, p.max_subdomain_dofs());
+    auto op = registry.create(key, p, cfg, &test_context());
+    op->prepare();
+    op->update_values();
+    const bool trsm_syrk = key.rfind("expl legacy", 0) == 0 ||
+                           key.rfind("expl modern", 0) == 0 ||
+                           key.rfind("expl cholmod", 0) == 0;
+    if (!trsm_syrk) {
+      EXPECT_EQ(op->solve_work(), 0) << key;
+      continue;
+    }
+    ++pruned_keys;
+    const bool sp = key.find(" sp") != std::string::npos;
+    long unpruned = 0;
+    for (const auto& sub : p.sub) {
+      sparse::SimplicialCholesky chol;
+      chol.analyze(sub.k_reg, cfg.ordering);
+      const idx cols = sp ? decomp::boundary_dofs(sub).count()
+                          : sub.num_local_lambdas();
+      unpruned +=
+          static_cast<long>(chol.factor_upper_structure().nnz()) * cols;
+    }
+    const long work = op->solve_work();
+    EXPECT_GT(work, 0) << key;
+    EXPECT_LT(work, unpruned) << key;
+    p.mark_values_changed();
+    op->update_values();
+    EXPECT_EQ(op->solve_work(), 2 * work) << key;
+  }
+  EXPECT_EQ(pruned_keys, 12);
 }
 
 TEST(SparsityAware, SpKeysMatchTheirDenseSiblingsForEveryBatchWidth) {
