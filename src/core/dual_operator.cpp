@@ -1,13 +1,10 @@
 #include "core/dual_operator.hpp"
 
-#include <omp.h>
-
-#include <numeric>
-
 #include "core/dualop_registry.hpp"
-#include "util/omp_guard.hpp"
+#include "core/host_dual_vectors.hpp"
 #include "la/blas_dense.hpp"
 #include "la/blas_sparse.hpp"
+#include "util/parallel.hpp"
 
 namespace feti::core {
 
@@ -59,35 +56,23 @@ void DualOperator::end_update(const UpdatePlan& plan) {
   tracker_.end(p_, plan, cache_stats_);
 }
 
-void DualOperator::scatter_cpu(const double* cluster, idx sub,
-                               double* local) const {
-  const auto& map = p_.sub[sub].lm_l2c;
-  for (std::size_t i = 0; i < map.size(); ++i) local[i] = cluster[map[i]];
-}
-
-void DualOperator::gather_add_cpu(const double* local, idx sub,
-                                  double* cluster) const {
-  const auto& map = p_.sub[sub].lm_l2c;
-  for (std::size_t i = 0; i < map.size(); ++i) cluster[map[i]] += local[i];
-}
-
 void DualOperator::compute_d(double* d) const {
   const idx nsub = p_.num_subdomains();
   std::vector<std::vector<double>> q(static_cast<std::size_t>(nsub));
-  OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-  for (idx s = 0; s < nsub; ++s) {
-    guard.run([&, s] {
-      const auto& fs = p_.sub[s];
-      std::vector<double> x(static_cast<std::size_t>(fs.ndof()));
-      kplus_solve(s, fs.sys.f.data(), x.data());
-      q[s].assign(static_cast<std::size_t>(fs.num_local_lambdas()), 0.0);
-      la::spmv(1.0, fs.b, x.data(), 0.0, q[s].data());
-    });
-  }
-  guard.rethrow();
+  parallel_for(nsub, [&](idx s) {
+    const auto& fs = p_.sub[s];
+    std::vector<double> x(static_cast<std::size_t>(fs.ndof()));
+    kplus_solve(s, fs.sys.f.data(), x.data());
+    q[s].assign(static_cast<std::size_t>(fs.num_local_lambdas()), 0.0);
+    la::spmv(1.0, fs.b, x.data(), 0.0, q[s].data());
+  });
   for (idx j = 0; j < p_.num_lambdas; ++j) d[j] = -p_.c[j];
-  for (idx s = 0; s < nsub; ++s) gather_add_cpu(q[s].data(), s, d);
+  for (idx s = 0; s < nsub; ++s) {
+    const idx m = p_.sub[s].num_local_lambdas();
+    HostDualVectors::gather_add(
+        p_.sub[s].lm_l2c, {q[s].data(), m, 1, m, la::Layout::ColMajor},
+        nullptr, d, static_cast<std::size_t>(p_.num_lambdas));
+  }
 }
 
 void DualOperator::primal_solution(
@@ -100,23 +85,22 @@ void DualOperator::primal_solution(
   std::vector<idx> alpha_offset(static_cast<std::size_t>(nsub) + 1, 0);
   for (idx s = 0; s < nsub; ++s)
     alpha_offset[s + 1] = alpha_offset[s] + p_.sub[s].kernel_dim();
-  OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-  for (idx s = 0; s < nsub; ++s) {
-    guard.run([&, s] {
-      const auto& fs = p_.sub[s];
-      std::vector<double> lam(static_cast<std::size_t>(fs.num_local_lambdas()));
-      scatter_cpu(lambda, s, lam.data());
-      std::vector<double> rhs(fs.sys.f);
-      la::spmv_trans(-1.0, fs.b, lam.data(), 1.0, rhs.data());
-      u[s].assign(static_cast<std::size_t>(fs.ndof()), 0.0);
-      kplus_solve(s, rhs.data(), u[s].data());
-      // + Rᵢ αᵢ.
-      la::gemv(1.0, fs.r.cview(), la::Trans::No,
-               alpha.data() + alpha_offset[s], 1.0, u[s].data());
-    });
-  }
-  guard.rethrow();
+  parallel_for(nsub, [&](idx s) {
+    const auto& fs = p_.sub[s];
+    const idx m = fs.num_local_lambdas();
+    std::vector<double> lam(static_cast<std::size_t>(m));
+    HostDualVectors::scatter(fs.lm_l2c, lambda,
+                             static_cast<std::size_t>(p_.num_lambdas),
+                             nullptr,
+                             {lam.data(), m, 1, m, la::Layout::ColMajor});
+    std::vector<double> rhs(fs.sys.f);
+    la::spmv_trans(-1.0, fs.b, lam.data(), 1.0, rhs.data());
+    u[s].assign(static_cast<std::size_t>(fs.ndof()), 0.0);
+    kplus_solve(s, rhs.data(), u[s].data());
+    // + Rᵢ αᵢ.
+    la::gemv(1.0, fs.r.cview(), la::Trans::No,
+             alpha.data() + alpha_offset[s], 1.0, u[s].data());
+  });
 }
 
 std::unique_ptr<DualOperator> make_dual_operator(

@@ -88,7 +88,8 @@ class DualOperator {
   /// Valid only after update_values().
   void apply(const double* x, double* y);
   /// Y(:,j) = F X(:,j) for j in [0, nrhs); columns are contiguous
-  /// cluster-wide dual vectors (leading dimension num_lambdas).
+  /// cluster-wide dual vectors (leading dimension num_lambdas). Column j is
+  /// bitwise equal to apply() of column j alone (every built-in key).
   void apply(const double* x, double* y, idx nrhs);
 
   /// The execution context whose device holds this operator's state, or
@@ -188,8 +189,8 @@ class DualOperator {
   /// Overriders may assume nrhs >= 1 and distinct, non-overlapping x/y.
   virtual void apply_many(const double* x, double* y, idx nrhs);
   /// Device-pointer application hook behind apply_device(). Overriders may
-  /// assume nrhs >= 1 and must dispatch nrhs == 1 through the same local
-  /// kernels as apply_one (SYMV vs SYMM differ bitwise). The default
+  /// assume nrhs >= 1 and must return bitwise what apply_one/apply_many
+  /// return for the same width (same local kernels). The default
   /// rejects — only operators with device_context() != nullptr implement
   /// it, and callers gate on that.
   virtual void apply_many_device(const double* d_x, double* d_y, idx nrhs);
@@ -207,11 +208,6 @@ class DualOperator {
   /// update_values(); not reached on exception, so a failed refresh is
   /// retried in full on the next step.
   void end_update(const UpdatePlan& plan);
-
-  /// local[i] = cluster[map_i[i]] for subdomain `sub`.
-  void scatter_cpu(const double* cluster, idx sub, double* local) const;
-  /// cluster[map_i[i]] += local[i]; caller serializes across subdomains.
-  void gather_add_cpu(const double* local, idx sub, double* cluster) const;
 
   const decomp::FetiProblem& p_;
   mutable TimingRegistry timings_;

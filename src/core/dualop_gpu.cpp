@@ -26,8 +26,6 @@
 // workspace policy) through gpu::ExecutionContext instead of creating and
 // clamping their own stream vectors.
 
-#include <omp.h>
-
 #include <map>
 #include <numeric>
 #include <type_traits>
@@ -36,13 +34,13 @@
 #include "core/dualop_registry.hpp"
 #include "core/gpu_dual_vectors.hpp"
 #include "decomp/boundary.hpp"
-#include "util/omp_guard.hpp"
 #include "gpu/blas.hpp"
 #include "gpu/kernels.hpp"
 #include "gpu/sparse.hpp"
 #include "la/blas_dense.hpp"
 #include "sparse/simplicial_cholesky.hpp"
 #include "sparse/supernodal_cholesky.hpp"
+#include "util/parallel.hpp"
 
 namespace feti::core {
 
@@ -64,8 +62,8 @@ namespace {
 ///   local_apply(s, st, lam, q) — the local kernel q = F̃ₛ lam, submitted
 ///                      on `st`. lam.cols == 1 is the contiguous width-1
 ///                      vector: families take their vector kernel there
-///                      (SYMV vs SYMM differ bitwise, and apply_device of a
-///                      width must equal apply of the same width).
+///                      and their block kernel above, which rounds every
+///                      column like the vector kernel.
 ///
 /// `T` is the local-panel scalar (see GpuDualVectorsT).
 template <typename T>
@@ -110,21 +108,14 @@ class GpuDualOpBase : public DualOperator {
   /// Called with the width of every apply before anything is submitted.
   virtual void reserve_batch(idx /*nrhs*/) {}
 
-  /// Runs f(s, stream) for every subdomain of `subs` in an OpenMP-guarded
-  /// parallel loop; entry k runs on worker stream k % streams.
+  /// Runs f(s, stream) for every subdomain of `subs` through parallel_for;
+  /// entry k runs on worker stream k % streams.
   template <typename F>
   void for_each_subdomain(const std::vector<idx>& subs, F&& f) {
-    const idx n = static_cast<idx>(subs.size());
-    OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-    for (idx k = 0; k < n; ++k) {
-      guard.run([&, k] {
-        gpu::Stream st =
-            streams_[static_cast<std::size_t>(k) % streams_.size()];
-        f(subs[static_cast<std::size_t>(k)], st);
-      });
-    }
-    guard.rethrow();
+    parallel_for(static_cast<idx>(subs.size()), [&](idx k) {
+      gpu::Stream st = streams_[static_cast<std::size_t>(k) % streams_.size()];
+      f(subs[static_cast<std::size_t>(k)], st);
+    });
   }
 
   /// for_each_subdomain over every subdomain (the pattern-only setup).

@@ -22,8 +22,9 @@
 // Width-1 applies hand the local kernel the contiguous m×1 vectors
 // (ld = m), wider ones the first nrhs columns of grow-only row-major
 // m × capacity panels, so a family can pick SYMV/GEMV/SpMV on
-// lam.cols == 1 and SYMM/GEMM/SpMM otherwise (the two differ bitwise, and
-// a host apply of width nrhs must equal a device apply of the same width).
+// lam.cols == 1 and SYMM/GEMM/SpMM otherwise. Both round every column
+// alike, so column j of a batch is bitwise equal to a width-1 apply of
+// column j, and a host apply equals a device apply of the same width.
 //
 // Optional per-subdomain weight diagonals D turn the round trip into the
 // scaled restriction/prolongation Σᵢ B̃ᵢ D (·) D B̃ᵢᵀ of the block
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/host_dual_vectors.hpp"
 #include "decomp/feti_problem.hpp"
 #include "gpu/data.hpp"
 #include "gpu/kernels.hpp"
@@ -179,13 +181,9 @@ class GpuDualVectorsT {
         host_lam_[k].resize(span);
         host_q_[k].resize(span);
       }
-      const auto& map = p_->sub[k].lm_l2c;
-      la::DenseViewT<T> h{host_lam_[k].data(), lam.rows, lam.cols, lam.ld,
-                          lam.layout};
-      for (std::size_t i = 0; i < map.size(); ++i)
-        for (idx j = 0; j < nrhs; ++j)
-          h.at(static_cast<idx>(i), j) = static_cast<T>(
-              x[map[i] + static_cast<std::size_t>(j) * stride]);
+      HostDualVectorsT<T>::scatter(p_->sub[k].lm_l2c, x, stride, nullptr,
+                                   {host_lam_[k].data(), lam.rows, lam.cols,
+                                    lam.ld, lam.layout});
       gpu::Stream& st = streams[k % nstreams];
       st.memcpy_h2d(lam.data, host_lam_[k].data(), span * sizeof(T));
       local(static_cast<idx>(k), st, lam, q);
@@ -196,13 +194,10 @@ class GpuDualVectorsT {
     for (std::size_t k = 0; k < subs_.size(); ++k) {
       if (subs_[k].n == 0) continue;
       const Panel q = q_panel(k, nrhs);
-      const auto& map = p_->sub[k].lm_l2c;
-      const la::ConstDenseViewT<T> h(host_q_[k].data(), q.rows, q.cols, q.ld,
-                                     q.layout);
-      for (std::size_t i = 0; i < map.size(); ++i)
-        for (idx j = 0; j < nrhs; ++j)
-          y[map[i] + static_cast<std::size_t>(j) * stride] +=
-              static_cast<double>(h.at(static_cast<idx>(i), j));
+      HostDualVectorsT<T>::gather_add(
+          p_->sub[k].lm_l2c,
+          {host_q_[k].data(), q.rows, q.cols, q.ld, q.layout}, nullptr, y,
+          stride);
     }
   }
 

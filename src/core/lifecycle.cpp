@@ -1,6 +1,6 @@
 #include "core/lifecycle.hpp"
 
-#include <omp.h>
+#include "util/parallel.hpp"
 
 namespace feti::core {
 
@@ -17,11 +17,10 @@ UpdatePlan ValueTracker::begin(const decomp::FetiProblem& p,
   std::vector<std::uint64_t> hashes;
   if (hashed) {
     hashes.resize(nsub);
-    const idx n = static_cast<idx>(nsub);
-#pragma omp parallel for schedule(dynamic)
-    for (idx k = 0; k < n; ++k)
+    parallel_for(static_cast<idx>(nsub), [&](idx k) {
       hashes[static_cast<std::size_t>(k)] =
           decomp::k_values_hash(p.sub[static_cast<std::size_t>(k)]);
+    });
   }
 
   UpdatePlan plan;

@@ -156,20 +156,4 @@ double Projector::gt_norm(const double* x) const {
   return m;
 }
 
-void LumpedPreconditioner::apply(const double* x, double* y) const {
-  std::fill_n(y, p_.num_lambdas, 0.0);
-  for (const auto& fs : p_.sub) {
-    std::vector<double> lam(static_cast<std::size_t>(fs.num_local_lambdas()));
-    for (std::size_t i = 0; i < fs.lm_l2c.size(); ++i)
-      lam[i] = x[fs.lm_l2c[i]];
-    std::vector<double> t(static_cast<std::size_t>(fs.ndof()));
-    std::vector<double> kt(static_cast<std::size_t>(fs.ndof()));
-    la::spmv_trans(1.0, fs.b, lam.data(), 0.0, t.data());
-    la::spmv(1.0, fs.sys.k, t.data(), 0.0, kt.data());
-    la::spmv(1.0, fs.b, kt.data(), 0.0, lam.data());
-    for (std::size_t i = 0; i < fs.lm_l2c.size(); ++i)
-      y[fs.lm_l2c[i]] += lam[i];
-  }
-}
-
 }  // namespace feti::core

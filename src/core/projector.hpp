@@ -88,15 +88,4 @@ class Projector {
   mutable std::size_t s_cap_ = 0;         ///< columns s_dev_ can hold
 };
 
-/// The lumped preconditioner M = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ (applied with the original,
-/// singular subdomain stiffness).
-class LumpedPreconditioner {
- public:
-  explicit LumpedPreconditioner(const decomp::FetiProblem& p) : p_(p) {}
-  void apply(const double* x, double* y) const;
-
- private:
-  const decomp::FetiProblem& p_;
-};
-
 }  // namespace feti::core

@@ -76,15 +76,6 @@ struct DeviceCsr {
   idx* rowptr = nullptr;
   idx* colidx = nullptr;
   double* vals = nullptr;
-
-  /// Host-side view over the device arrays (valid because the virtual
-  /// device shares the address space; kernels use this internally).
-  [[nodiscard]] la::Csr as_host_csr() const {
-    return la::Csr(nrows, ncols,
-                   std::vector<idx>(rowptr, rowptr + nrows + 1),
-                   std::vector<idx>(colidx, colidx + nnz),
-                   std::vector<double>(vals, vals + nnz));
-  }
 };
 
 /// Allocates and uploads a full CSR matrix (structure + values).

@@ -216,9 +216,6 @@ class Device {
   [[nodiscard]] TempAllocator& temp();
 
   [[nodiscard]] std::size_t memory_used() const;
-  [[nodiscard]] std::size_t memory_capacity() const {
-    return cfg_.memory_bytes;
-  }
 
   // Internal plumbing used by Stream (public because Stream::Impl lives in
   // the implementation file).

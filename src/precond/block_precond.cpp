@@ -5,8 +5,6 @@
 // weighted device apply path the GPU dual operators use). Registration of
 // all key-grammar points lives at the bottom.
 
-#include <omp.h>
-
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -14,6 +12,7 @@
 #include <vector>
 
 #include "core/gpu_dual_vectors.hpp"
+#include "core/host_dual_vectors.hpp"
 #include "decomp/boundary.hpp"
 #include "gpu/blas.hpp"
 #include "gpu/context.hpp"
@@ -23,16 +22,11 @@
 #include "precond/precond_registry.hpp"
 #include "precond/preconditioner.hpp"
 #include "sparse/supernodal_cholesky.hpp"
-#include "util/omp_guard.hpp"
+#include "util/parallel.hpp"
 
 namespace feti::precond {
 
 namespace {
-
-void zero_view(la::DenseView v) {
-  for (idx c = 0; c < v.cols; ++c)
-    for (idx r = 0; r < v.rows; ++r) v.at(r, c) = 0.0;
-}
 
 // ---------------------------------------------------------------------------
 // Identity ("none")
@@ -89,7 +83,7 @@ class LumpedAssembler final : public BlockAssembler {
 
   void assemble(const decomp::FetiProblem& p, idx s,
                 la::DenseView out) override {
-    zero_view(out);
+    la::set_zero(out);
     const auto& fs = p.sub[static_cast<std::size_t>(s)];
     const la::Csr& b = fs.b;
     const la::Csr& k = fs.sys.k;
@@ -122,7 +116,7 @@ class SuperlumpedAssembler final : public BlockAssembler {
 
   void assemble(const decomp::FetiProblem& p, idx s,
                 la::DenseView out) override {
-    zero_view(out);
+    la::set_zero(out);
     const auto& fs = p.sub[static_cast<std::size_t>(s)];
     const la::Csr& b = fs.b;
     const la::Csr& k = fs.sys.k;
@@ -161,7 +155,7 @@ class DirichletAssembler final : public BlockAssembler {
     const idx m = fs.num_local_lambdas();
     const idx nb = static_cast<idx>(sub.boundary.size());
     if (m == 0 || nb == 0) {
-      zero_view(out);
+      la::set_zero(out);
       return;
     }
     refresh(sub.kbb, sub.kbb_map, fs.sys.k);
@@ -289,44 +283,31 @@ class CpuBlockPreconditioner final : public Preconditioner {
   void prepare() override {
     ScopedTimer t(timings_, "prepare");
     assembler_->prepare(p_);
-    const std::size_t nsub = p_.sub.size();
-    blocks_.resize(nsub);
-    lam_.resize(nsub);
-    q_.resize(nsub);
-    xp_.resize(nsub);
-    qp_.resize(nsub);
-    for (std::size_t s = 0; s < nsub; ++s) {
+    blocks_.resize(p_.sub.size());
+    for (std::size_t s = 0; s < blocks_.size(); ++s) {
       const idx m = p_.sub[s].num_local_lambdas();
       blocks_[s] = la::DenseMatrix(m, m, la::Layout::ColMajor);
-      lam_[s].resize(static_cast<std::size_t>(m));
-      q_[s].resize(static_cast<std::size_t>(m));
     }
+    vectors_.prepare(p_);
     // Multiplicity weights are pattern-only; stiffness weights track K and
     // are (re)computed inside update_values().
     if (scaling_ == Scaling::Multiplicity)
-      weights_ = compute_scaling_weights(p_, scaling_);
+      vectors_.set_weights(compute_scaling_weights(p_, scaling_));
   }
 
   void update_values() override {
     ScopedTimer t(timings_, "update_values");
     const UpdatePlan plan = begin_update();
     if (plan.skip()) return;
-    const idx nd = static_cast<idx>(plan.dirty.size());
-    OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-    for (idx k = 0; k < nd; ++k) {
-      guard.run([&, k] {
-        const idx s = plan.dirty[static_cast<std::size_t>(k)];
-        assembler_->assemble(p_, s,
-                             blocks_[static_cast<std::size_t>(s)].view());
-      });
-    }
-    guard.rethrow();
+    parallel_for(static_cast<idx>(plan.dirty.size()), [&](idx k) {
+      const idx s = plan.dirty[static_cast<std::size_t>(k)];
+      assembler_->assemble(p_, s, blocks_[static_cast<std::size_t>(s)].view());
+    });
     // Stiffness weights mix every sharing subdomain's K diagonal, so any
     // refresh invalidates all of them; they are never baked into the
     // cached blocks above.
     if (scaling_ == Scaling::Stiffness)
-      weights_ = compute_scaling_weights(p_, scaling_);
+      vectors_.set_weights(compute_scaling_weights(p_, scaling_));
     end_update(plan);
   }
 
@@ -334,101 +315,27 @@ class CpuBlockPreconditioner final : public Preconditioner {
 
  protected:
   void apply_one(const double* x, double* y) override {
-    const idx nsub = p_.num_subdomains();
-    OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-    for (idx s = 0; s < nsub; ++s) {
-      guard.run([&, s] {
-        const auto& fs = p_.sub[static_cast<std::size_t>(s)];
-        const idx m = fs.num_local_lambdas();
-        if (m == 0) return;
-        const double* w = weight_of(s);
-        double* lam = lam_[static_cast<std::size_t>(s)].data();
-        for (idx i = 0; i < m; ++i) {
-          const double wi = w != nullptr ? w[i] : 1.0;
-          lam[i] = wi * x[fs.lm_l2c[static_cast<std::size_t>(i)]];
-        }
-        la::symv(la::Uplo::Upper, 1.0,
-                 blocks_[static_cast<std::size_t>(s)].cview(), lam, 0.0,
-                 q_[static_cast<std::size_t>(s)].data());
-      });
-    }
-    guard.rethrow();
-    std::fill_n(y, static_cast<std::size_t>(p_.num_lambdas), 0.0);
-    for (idx s = 0; s < nsub; ++s) {
-      const auto& fs = p_.sub[static_cast<std::size_t>(s)];
-      const double* w = weight_of(s);
-      const double* q = q_[static_cast<std::size_t>(s)].data();
-      for (idx i = 0; i < fs.num_local_lambdas(); ++i) {
-        const double wi = w != nullptr ? w[i] : 1.0;
-        y[fs.lm_l2c[static_cast<std::size_t>(i)]] += wi * q[i];
-      }
-    }
+    apply_many(x, y, 1);
   }
 
+  /// One SYMV per subdomain at width 1, one SYMM per subdomain above.
   void apply_many(const double* x, double* y, idx nrhs) override {
-    const idx n = p_.num_lambdas;
-    const idx nsub = p_.num_subdomains();
-    OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-    for (idx s = 0; s < nsub; ++s) {
-      guard.run([&, s] {
-        const auto& fs = p_.sub[static_cast<std::size_t>(s)];
-        const idx m = fs.num_local_lambdas();
-        if (m == 0) return;
-        la::DenseMatrix& xs = xp_[static_cast<std::size_t>(s)];
-        la::DenseMatrix& qs = qp_[static_cast<std::size_t>(s)];
-        if (xs.cols() < nrhs) {
-          xs = la::DenseMatrix(m, nrhs, la::Layout::ColMajor);
-          qs = la::DenseMatrix(m, nrhs, la::Layout::ColMajor);
-        }
-        const double* w = weight_of(s);
-        for (idx j = 0; j < nrhs; ++j) {
-          const double* col = x + static_cast<widx>(j) * n;
-          for (idx i = 0; i < m; ++i) {
-            const double wi = w != nullptr ? w[i] : 1.0;
-            xs.at(i, j) = wi * col[fs.lm_l2c[static_cast<std::size_t>(i)]];
-          }
-        }
-        const la::ConstDenseView xv{xs.data(), m, nrhs, xs.ld(),
-                                    la::Layout::ColMajor};
-        const la::DenseView qv{qs.data(), m, nrhs, qs.ld(),
-                               la::Layout::ColMajor};
-        la::symm(la::Uplo::Upper, 1.0,
-                 blocks_[static_cast<std::size_t>(s)].cview(), xv, 0.0, qv);
-      });
-    }
-    guard.rethrow();
-    std::fill_n(y, static_cast<std::size_t>(n) * nrhs, 0.0);
-    for (idx s = 0; s < nsub; ++s) {
-      const auto& fs = p_.sub[static_cast<std::size_t>(s)];
-      const idx m = fs.num_local_lambdas();
-      if (m == 0) continue;
-      const double* w = weight_of(s);
-      const la::DenseMatrix& qs = qp_[static_cast<std::size_t>(s)];
-      for (idx j = 0; j < nrhs; ++j) {
-        double* col = y + static_cast<widx>(j) * n;
-        for (idx i = 0; i < m; ++i) {
-          const double wi = w != nullptr ? w[i] : 1.0;
-          col[fs.lm_l2c[static_cast<std::size_t>(i)]] += wi * qs.at(i, j);
-        }
-      }
-    }
+    vectors_.apply(x, y, nrhs, [this](idx s, la::DenseView lam,
+                                      la::DenseView q) {
+      const la::ConstDenseView m = blocks_[static_cast<std::size_t>(s)].cview();
+      if (lam.cols == 1)
+        la::symv(la::Uplo::Upper, 1.0, m, lam.data, 0.0, q.data);
+      else
+        la::symm(la::Uplo::Upper, 1.0, m, lam, 0.0, q);
+    });
   }
 
  private:
-  [[nodiscard]] const double* weight_of(idx s) const {
-    return weights_.empty() ? nullptr
-                            : weights_[static_cast<std::size_t>(s)].data();
-  }
-
   std::string key_;
   std::unique_ptr<BlockAssembler> assembler_;
   Scaling scaling_;
   std::vector<la::DenseMatrix> blocks_;
-  std::vector<std::vector<double>> weights_;
-  std::vector<std::vector<double>> lam_, q_;  ///< single-RHS locals
-  std::vector<la::DenseMatrix> xp_, qp_;      ///< grow-only batch panels
+  core::HostDualVectors vectors_;
 };
 
 // ---------------------------------------------------------------------------
@@ -484,23 +391,16 @@ class GpuBlockPreconditioner final : public Preconditioner {
     ScopedTimer t(timings_, "update_values");
     const UpdatePlan plan = begin_update();
     if (plan.skip()) return;
-    const idx nd = static_cast<idx>(plan.dirty.size());
-    OmpExceptionGuard guard;
-#pragma omp parallel for schedule(dynamic)
-    for (idx k = 0; k < nd; ++k) {
-      guard.run([&, k] {
-        const idx s = plan.dirty[static_cast<std::size_t>(k)];
-        if (p_.sub[static_cast<std::size_t>(s)].num_local_lambdas() == 0)
-          return;
-        la::DenseMatrix& host = m_host_[static_cast<std::size_t>(s)];
-        assembler_->assemble(p_, s, host.view());
-        gpu::Stream st =
-            streams_[static_cast<std::size_t>(k) % streams_.size()];
-        st.memcpy_h2d(m_dev_[static_cast<std::size_t>(s)].data, host.data(),
-                      host.size() * sizeof(double));
-      });
-    }
-    guard.rethrow();
+    parallel_for(static_cast<idx>(plan.dirty.size()), [&](idx k) {
+      const idx s = plan.dirty[static_cast<std::size_t>(k)];
+      if (p_.sub[static_cast<std::size_t>(s)].num_local_lambdas() == 0)
+        return;
+      la::DenseMatrix& host = m_host_[static_cast<std::size_t>(s)];
+      assembler_->assemble(p_, s, host.view());
+      gpu::Stream st = streams_[static_cast<std::size_t>(k) % streams_.size()];
+      st.memcpy_h2d(m_dev_[static_cast<std::size_t>(s)].data, host.data(),
+                    host.size() * sizeof(double));
+    });
     if (scaling_ == Scaling::Stiffness) {
       // Neighbor K values feed these diagonals, so every weight refreshes
       // whenever any subdomain does.

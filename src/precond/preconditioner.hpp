@@ -81,7 +81,8 @@ class Preconditioner {
   /// y = M⁻¹ x on cluster-wide dual vectors (valid after update_values()).
   void apply(const double* x, double* y);
   /// Y(:,j) = M⁻¹ X(:,j) for j in [0, nrhs); columns are contiguous
-  /// cluster-wide dual vectors (leading dimension num_lambdas).
+  /// cluster-wide dual vectors (leading dimension num_lambdas). Column j is
+  /// bitwise equal to apply() of column j alone (every built-in key).
   void apply(const double* x, double* y, idx nrhs);
 
   /// The execution context whose device holds this preconditioner's state,
@@ -126,8 +127,8 @@ class Preconditioner {
   /// Batched hook; the default loops over apply_one (counted).
   virtual void apply_many(const double* x, double* y, idx nrhs);
   /// Device-pointer hook behind apply_device(). Overriders may assume
-  /// nrhs >= 1 and must dispatch nrhs == 1 through the same local kernels
-  /// as apply_one (SYMV vs SYMM differ bitwise). The default rejects.
+  /// nrhs >= 1 and must return bitwise what apply_one/apply_many return
+  /// for the same width (same local kernels). The default rejects.
   virtual void apply_many_device(const double* d_x, double* d_y, idx nrhs);
 
   using UpdatePlan = core::UpdatePlan;

@@ -89,7 +89,6 @@ class SolverService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] PoolStats pool_stats() const { return pool_.stats(); }
-  [[nodiscard]] gpu::DevicePool& device_pool() { return devices_; }
 
   /// The registry key the service would pick for `job` right now: an
   /// explicit job key is resolved as-is; an empty key is autotuned from

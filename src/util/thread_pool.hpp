@@ -1,12 +1,12 @@
 #pragma once
 
-// A small fixed-size thread pool. Two distinct consumers in this library:
-//
-//  * the virtual GPU device (src/gpu) uses a dedicated pool as its SM/worker
-//    substrate, executing stream-ordered operations concurrently, and
-//  * CPU-side per-subdomain loops use OpenMP directly (matching the paper's
-//    "subdomains are handled by threads" model), so this pool intentionally
-//    stays simple: FIFO queue, condition-variable wakeup, no work stealing.
+// A small fixed-size thread pool. The virtual GPU device (src/gpu) uses a
+// dedicated pool as its SM/worker substrate, executing stream-ordered
+// operations concurrently. The per-subdomain host loops (the paper's
+// "subdomains are handled by threads" model) do not use it: they run
+// through feti::parallel_for in util/parallel.hpp, the one OpenMP site. So
+// this pool intentionally stays simple: FIFO queue, condition-variable
+// wakeup, no work stealing.
 
 #include <condition_variable>
 #include <deque>

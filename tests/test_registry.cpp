@@ -339,7 +339,10 @@ TEST(Autotune, RecommendConfigFollowsAxes) {
 
 TEST(BatchedApply, MatchesSequentialAppliesForEveryRegisteredKey) {
   // The full consistency matrix: every registered key × several batch
-  // widths.
+  // widths. Column j of a batch must be bitwise equal to a single apply of
+  // column j: every block kernel (SYMM, SpMM, block solves, on the host and
+  // the device) rounds each column exactly like its vector kernel, and the
+  // gather sums each cluster entry's subdomain contributions in one order.
   // The final narrow batch after the widest one exercises the grow-only
   // batch buffers (a draining lockstep block solve shrinks its batch). The
   // loop-fallback counter staying 0 proves that no key — in particular no
@@ -353,11 +356,6 @@ TEST(BatchedApply, MatchesSequentialAppliesForEveryRegisteredKey) {
     auto op = registry.create(key, p, cfg, &test_context());
     op->prepare();
     op->update_values();
-
-    // Tolerance tiers: fp64 keys to fp64 round-off; the " f32" keys run
-    // fp32 SYMM/SYMV kernels whose rounding differs between the batched
-    // and the per-column traversal, so they get the relaxed fp32 tier.
-    const double tol = key.find(" f32") != std::string::npos ? 2e-6 : 1e-10;
     for (idx nrhs : {1, 3, 8, 3}) {
       Rng rng(23u + static_cast<unsigned>(nrhs));
       std::vector<double> x(static_cast<std::size_t>(n) * nrhs);
@@ -367,11 +365,10 @@ TEST(BatchedApply, MatchesSequentialAppliesForEveryRegisteredKey) {
       for (idx j = 0; j < nrhs; ++j)
         op->apply(x.data() + static_cast<std::size_t>(j) * n,
                   y_seq.data() + static_cast<std::size_t>(j) * n);
-      double scale = 0.0;
-      for (double v : y_seq) scale = std::max(scale, std::fabs(v));
-      for (std::size_t i = 0; i < x.size(); ++i)
-        EXPECT_NEAR(y_batch[i], y_seq[i], tol * std::max(1.0, scale))
-            << "entry " << i << " key " << key << " nrhs " << nrhs;
+      EXPECT_EQ(std::memcmp(y_batch.data(), y_seq.data(),
+                            y_batch.size() * sizeof(double)),
+                0)
+          << "key " << key << " nrhs " << nrhs;
     }
     EXPECT_EQ(op->loop_fallback_count(), 0)
         << "key '" << key << "' served a batch through the base-class loop";

@@ -1,12 +1,16 @@
-// Tests for src/util: thread pool, timers, tables, RNG determinism.
+// Tests for src/util: thread pool, the host parallel loop, timers, tables,
+// RNG determinism.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <sstream>
 #include <thread>
 
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -60,6 +64,50 @@ TEST(ThreadPool, SizeClampsToAtLeastOne) {
   EXPECT_EQ(pool.size(), 1);
   auto f = pool.submit([] { return 7; });
   EXPECT_EQ(f.get(), 7);
+}
+
+TEST(ParallelFor, EmptyRangeRunsNothing) {
+  std::atomic<int> calls{0};
+  parallel_for(0, [&](idx) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (idx n : {1, 1000}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    parallel_for(n, [&](idx i) { hits[static_cast<std::size_t>(i)]++; });
+    for (idx i = 0; i < n; ++i)
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "n " << n << " index " << i;
+  }
+}
+
+/// A type no library code throws, so catching it proves the type survived.
+struct LoopError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+TEST(ParallelFor, RethrowsTheBodysExceptionAfterTheJoin) {
+  // Index 0 throws at once while the others still sleep: the exception may
+  // only reach the caller after every other iteration has finished.
+  constexpr idx n = 64;
+  std::atomic<int> finished{0};
+  try {
+    parallel_for(n, [&](idx i) {
+      if (i == 0) throw LoopError("body failed");
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      finished.fetch_add(1);
+    });
+    FAIL() << "parallel_for swallowed the exception";
+  } catch (const LoopError& e) {
+    EXPECT_STREQ(e.what(), "body failed");
+  }
+  EXPECT_EQ(finished.load(), n - 1);
+
+  // The loop holds no state: a call after a throw runs normally.
+  std::atomic<int> calls{0};
+  parallel_for(n, [&](idx) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), n);
 }
 
 TEST(Timer, MeasuresElapsedTime) {
